@@ -8,7 +8,8 @@ verify   run the verification suite, emit the report JSON
 caparea  print the spherical cap intersection area for (r1, r2, d)
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 invalid
-configuration, 3 unsupported quantity (density of the spherical model).
+configuration, 3 unsupported quantity (density of the spherical model),
+4 internal error (any other exception; reported on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_UNSUPPORTED_QUANTITY = 3
+EXIT_INTERNAL = 4
 
 _GAMMA_LITERALS = {
     "pi/4": math.pi / 4.0,
@@ -301,6 +303,10 @@ def main(argv: list[str] | None = None) -> int:
     except BallCopulasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        # A defect, not a usage error: report it in one line.
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

@@ -42,7 +42,6 @@ from .errors import (
 from .special_math import (
     alpha,
     alpha_gamma,
-    clamped_arcsin,
     delta3,
     sigma,
     _check_gamma,
@@ -237,44 +236,47 @@ def nonlinear_pdf(u: float, v: float) -> float:
     return math.sqrt((1.0 - a) * (1.0 - b)) / (math.pi * den * den)
 
 
+def _overlap_atan2(u: float, v: float) -> float:
+    # u*asin(v*cu/sqrt(1-u^2 v^2)) + v*asin(u*cv/sqrt(1-u^2 v^2)) without the
+    # divisions: 1 - u^2 v^2 = (v*cu)^2 + cv^2 = (u*cv)^2 + cu^2.
+    cu = math.sqrt(1.0 - u * u)
+    cv = math.sqrt(1.0 - v * v)
+    return u * math.atan2(v * cu, cv) + v * math.atan2(u * cv, cu)
+
+
 def ellipse_intersection_area(u: float, v: float) -> float:
     """Area of the overlap of the two axis-aligned ellipses
     ``x^2/u^2 + y^2 <= 1`` and ``x^2 + y^2/v^2 <= 1``:
 
-        ``2u*asin(v*sqrt(1-u^2)/sqrt(1-u^2 v^2))
-          + 2v*asin(u*sqrt(1-v^2)/sqrt(1-u^2 v^2))``.
+        ``2u*atan2(v*sqrt(1-u^2), sqrt(1-v^2))
+          + 2v*atan2(u*sqrt(1-v^2), sqrt(1-u^2))``,
+
+    the arcsin form ``2u*asin(v*sqrt(1-u^2)/sqrt(1-u^2 v^2)) + ...`` without
+    its divisions.  Exact on the edges ``u = 0, 1`` and ``v = 0, 1``;
+    undefined at ``(1, 1)``.
     """
     if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
         raise DomainError(f"ellipse_intersection_area: ({u!r}, {v!r}) outside [0, 1]^2")
     if u == 1.0 and v == 1.0:
         raise DomainError("ellipse_intersection_area is undefined at (1, 1)")
-    a = u * u
-    b = v * v
-    den = math.sqrt(1.0 - a * b)
-    return 2.0 * u * clamped_arcsin(v * math.sqrt(1.0 - a) / den) + 2.0 * v * clamped_arcsin(
-        u * math.sqrt(1.0 - b) / den
-    )
+    return 2.0 * _overlap_atan2(u, v)
 
 
 def nonlinear_cdf(u: float, v: float) -> float:
     """Joint CDF of the nonlinear-transform model:
 
-        ``(u + v + 1)/4 + (u/(2*pi))*asin(v*sqrt(1-u^2)/sqrt(1-u^2 v^2))
-          + (v/(2*pi))*asin(u*sqrt(1-v^2)/sqrt(1-u^2 v^2))``.
+        ``(u + v + 1)/4 + (u*atan2(v*sqrt(1-u^2), sqrt(1-v^2))
+          + v*atan2(u*sqrt(1-v^2), sqrt(1-u^2))) / (2*pi)``,
 
-    The four corners are served by the continuous limit.
+    the two-arcsin form (see :func:`ellipse_intersection_area`) without its
+    divisions, on the whole square.  At the four corners both ``atan2``
+    arguments vanish; they get the continuous limit, 1 at ``(1, 1)`` and 0
+    at the others.
     """
     _check_square(u, v, "nonlinear_cdf")
-    a = u * u
-    b = v * v
-    if a == 1.0 and b == 1.0:
+    if abs(u) == 1.0 and abs(v) == 1.0:
         return 1.0 if (u > 0.0 and v > 0.0) else 0.0
-    den = math.sqrt(1.0 - a * b)
-    val = (u + v + 1.0) / 4.0 + (
-        u * clamped_arcsin(v * math.sqrt(1.0 - a) / den)
-        + v * clamped_arcsin(u * math.sqrt(1.0 - b) / den)
-    ) / _TWO_PI
-    return _clamp01(val)
+    return _clamp01((u + v + 1.0) / 4.0 + _overlap_atan2(u, v) / _TWO_PI)
 
 
 # ---------------------------------------------------------------------------

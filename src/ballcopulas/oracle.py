@@ -20,10 +20,9 @@ all oracle comparisons and returns a structured, JSON-serializable
 from __future__ import annotations
 
 import datetime as _dt
-import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import permutations
 from typing import Callable
@@ -63,7 +62,6 @@ __all__ = [
     "CheckResult",
     "MCEstimate",
     "QuadratureSpec",
-    "Rule",
     "VerificationReport",
     "VerifyConfig",
     "integrate_adaptive",
@@ -83,14 +81,13 @@ _FOUR_PI = 4.0 * math.pi
 KS_CRITICAL_COEFF = 1.63
 
 
-class Rule(enum.Enum):
-    GAUSS_LEGENDRE = "gauss-legendre"
-    ADAPTIVE_SIMPSON = "adaptive-simpson"
+# Gauss-Legendre order of every quadrature panel.
+_GL_ORDER = 64
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Settings for the adaptive integrators.
+    """Settings for the adaptive Gauss-Legendre integrator.
 
     ``max_subdivisions`` caps the number of panel evaluations; exceeding it
     raises :class:`QuadratureError`.
@@ -98,28 +95,35 @@ class QuadratureSpec:
 
     abs_tol: float = 1e-9
     max_subdivisions: int = 1 << 20
-    rule: Rule = Rule.GAUSS_LEGENDRE
-    order: int = 64
 
     def __post_init__(self) -> None:
         if not self.abs_tol > 0.0:
             raise DomainError("abs_tol must be positive")
         if self.max_subdivisions < 4:
             raise DomainError("max_subdivisions must be at least 4")
-        if self.rule is Rule.GAUSS_LEGENDRE and self.order < 16:
-            raise DomainError("Gauss-Legendre order must be at least 16")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-@lru_cache(maxsize=8)
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
+@lru_cache(maxsize=1)
+def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-def _integrate_gl(f, a: float, b: float, spec: QuadratureSpec) -> float:
-    nodes, weights = _gl_nodes(spec.order)
+def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec | None = None) -> float:
+    """Adaptively integrate a vectorized integrand ``f`` over ``[a, b]``.
+
+    Panels of order-64 Gauss-Legendre are bisected until each halving
+    changes the panel value by at most ``abs_tol`` times the panel's share
+    of ``[a, b]``.
+    """
+    spec = spec or DEFAULT_QUADRATURE
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError("integration limits must be finite")
+    if b <= a:
+        return 0.0
+    nodes, weights = _gl_nodes()
     full = b - a
 
     def panel(lo: float, hi: float) -> float:
@@ -155,59 +159,6 @@ def _integrate_gl(f, a: float, b: float, spec: QuadratureSpec) -> float:
             stack.append((lo, mid, left))
             stack.append((mid, hi, right))
     return total
-
-
-def _integrate_simpson(f, a: float, b: float, spec: QuadratureSpec) -> float:
-    def feval(t: float) -> float:
-        return float(np.asarray(f(np.array([t])), float)[0])
-
-    full = b - a
-
-    def simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    a_mid = 0.5 * (a + b)
-    stack = [(a, b, feval(a), feval(a_mid), feval(b))]
-    evaluations = 3
-    total = 0.0
-    while stack:
-        lo, hi, flo, fmid, fhi = stack.pop()
-        mid = 0.5 * (lo + hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flmid = feval(lmid)
-        frmid = feval(rmid)
-        evaluations += 2
-        if evaluations > spec.max_subdivisions:
-            raise QuadratureError(
-                f"no convergence to abs_tol={spec.abs_tol!r} within "
-                f"{spec.max_subdivisions} panel evaluations"
-            )
-        whole = simpson(lo, hi, flo, fmid, fhi)
-        left = simpson(lo, mid, flo, flmid, fmid)
-        right = simpson(mid, hi, fmid, frmid, fhi)
-        width = hi - lo
-        if (
-            abs(left + right - whole) <= 15.0 * spec.abs_tol * (width / full)
-            or width <= 16.0 * math.ulp(max(abs(lo), abs(hi), 1.0))
-        ):
-            total += left + right + (left + right - whole) / 15.0
-        else:
-            stack.append((lo, mid, flo, flmid, fmid))
-            stack.append((mid, hi, fmid, frmid, fhi))
-    return total
-
-
-def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec | None = None) -> float:
-    """Adaptively integrate a vectorized integrand ``f`` over ``[a, b]``."""
-    spec = spec or DEFAULT_QUADRATURE
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("integration limits must be finite")
-    if b <= a:
-        return 0.0
-    if spec.rule is Rule.GAUSS_LEGENDRE:
-        return _integrate_gl(f, a, b, spec)
-    return _integrate_simpson(f, a, b, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +307,25 @@ def _inner_mass_nonlinear(t_lo: float, t_hi: float):
     return inner
 
 
+def _split_at_support_edge(
+    gamma: float, t_lo: float, t_hi: float, s_lo: float, s_hi: float
+) -> list[float]:
+    # The outer integrand has a kink wherever the bottom or top edge t of the
+    # rectangle meets the support ellipse, at s = t*sin(gamma) +-
+    # cos(gamma)*sqrt(1 - t^2); adaptive bisection can converge falsely
+    # across one, so [s_lo, s_hi] is cut there.
+    sg = math.sin(gamma)
+    cg = math.cos(gamma)
+    kinks = []
+    for t in (t_lo, t_hi):
+        if abs(t) < 1.0:
+            half = cg * math.sqrt(1.0 - t * t)
+            kinks += [t * sg - half, t * sg + half]
+    # A set, because the two kinks of an edge coincide where it is tangent
+    # to the support or sits at the same |t| as the other edge.
+    return [s_lo, *sorted({k for k in kinks if s_lo < k < s_hi}), s_hi]
+
+
 def quad_mass_2d(
     model: CopulaModel, rect: Rectangle, spec: QuadratureSpec | None = None
 ) -> float:
@@ -363,8 +333,12 @@ def quad_mass_2d(
 
     The inner integral is evaluated in closed form (arcsin difference for
     the disk-type densities, an explicit antiderivative for the nonlinear
-    one), so the adaptive outer integrand is bounded.  Rejected for the
-    spherical model, which has no Lebesgue density.
+    one), so the adaptive outer integrand is bounded; it is integrated
+    piecewise between the points where the rectangle's bottom and top edges
+    meet the support boundary.  Each piece gets its width's share of
+    ``spec.abs_tol`` and an equal share (at least 4) of
+    ``spec.max_subdivisions``.  Rejected for the spherical model, which has
+    no Lebesgue density.
     """
     spec = spec or DEFAULT_QUADRATURE
     if isinstance(model, SphericalCopula) or model.dim != 2:
@@ -379,13 +353,26 @@ def quad_mass_2d(
         return 0.0
     if isinstance(model, CircularCopula):
         inner = _inner_mass_circular(t_lo, t_hi)
+        cuts = _split_at_support_edge(0.0, t_lo, t_hi, s_lo, s_hi)
     elif isinstance(model, EllipticalCopula):
         inner = _inner_mass_elliptical(model.gamma, t_lo, t_hi)
+        cuts = _split_at_support_edge(model.gamma, t_lo, t_hi, s_lo, s_hi)
     elif isinstance(model, NonlinearDiskCopula):
         inner = _inner_mass_nonlinear(t_lo, t_hi)
+        cuts = [s_lo, s_hi]
     else:
         raise NotAbsolutelyContinuousError(f"unsupported model {model.name!r}")
-    return integrate_adaptive(inner, s_lo, s_hi, spec)
+    # A piece gets the share of abs_tol that a panel of the same width would
+    # in one integral over [s_lo, s_hi].
+    budget = max(4, spec.max_subdivisions // (len(cuts) - 1))
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        tol = spec.abs_tol * (hi - lo) / (s_hi - s_lo)
+        if tol > 0.0:  # else the piece is too thin to carry any mass
+            total += integrate_adaptive(
+                inner, lo, hi, replace(spec, abs_tol=tol, max_subdivisions=budget)
+            )
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .errors import DomainError, PreconditionError
 
 __all__ = [
     "ARCSIN_TOL",
-    "BOUNDARY_BAND",
     "RegionId",
     "alpha",
     "alpha_gamma",
@@ -35,15 +34,6 @@ __all__ = [
 
 #: Default tolerance for clamping inverse-trig arguments to [-1, 1].
 ARCSIN_TOL = 1e-12
-
-# Relative width of the near-boundary band in which the three-arcsin
-# expressions are replaced by the linear extensions they agree with on the
-# support boundary.  arcsin turns an eps-sized argument error into a
-# sqrt(eps)-sized result error near +-1, so evaluating the arcsin forms
-# within ~1e-12 of the boundary would cost ~1e-8 of accuracy; the linear
-# forms are off by O(band^{3/2}) ~ 1e-18 there, far below every tolerance
-# used in this package.
-BOUNDARY_BAND = 1e-12
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -113,30 +103,37 @@ def _check_gamma(gamma: float) -> None:
         )
 
 
+def _atan2_sum(u: float, v: float, a: float, b: float, c: float, w: float) -> float:
+    # (u*atan2(a, w) + v*atan2(b, w) - atan2(c, w)) / (2*pi).  Each atan2 is
+    # divided by pi/2 before it is weighted, so at w = 0 the quotients are
+    # exactly +-1 or 0 and the linear continuation comes out exact.
+    return (
+        u * (math.atan2(a, w) / _HALF_PI)
+        + v * (math.atan2(b, w) / _HALF_PI)
+        - math.atan2(c, w) / _HALF_PI
+    ) / 4.0
+
+
 def alpha(x: float, y: float) -> float:
     """Quadrant-mass correction of the disk copula on ``C2``.
 
-    Inside the unit disk this is the three-arcsin expression
+    One expression on the whole square: with
+    ``w = sqrt(max(0, 1 - (x^2 + y^2)))``,
 
-        ``(x*asin(y/sqrt(1-x^2)) + y*asin(x/sqrt(1-y^2))
-          - asin(x*y/sqrt((1-x^2)(1-y^2)))) / (2*pi)``,
+        ``(x*atan2(y, w) + y*atan2(x, w) - atan2(x*y, w)) / (2*pi)``.
 
-    valid for all sign combinations; on and outside the disk it continues
-    linearly as ``sigma(x*y) * (|x| + |y| - 1) / 4``.  The two branches
-    agree on the circle, and the function is sign-change equivariant:
-    ``alpha(e*x, d*y) == e*d*alpha(x, y)`` for ``e, d = +-1``.
+    Inside the disk this is the three-arcsin form, since
+    ``asin(y/sqrt(1-x^2)) = atan2(y, w)`` and
+    ``asin(x*y/sqrt((1-x^2)(1-y^2))) = atan2(x*y, w)``, without the
+    divisions whose rounding arcsin magnifies near the circle.  On and
+    outside the circle ``w = 0`` and the same expression is exactly the
+    linear continuation ``sigma(x*y) * (|x| + |y| - 1) / 4``.  Symmetric
+    bit for bit, and ``alpha(e*x, d*y) == e*d*alpha(x, y)`` for
+    ``e, d = +-1``.
     """
     _check_square(x, y, "alpha")
-    s = x * x + y * y
-    if s < 1.0 - BOUNDARY_BAND:
-        cx = math.sqrt(1.0 - x * x)
-        cy = math.sqrt(1.0 - y * y)
-        return (
-            x * clamped_arcsin(y / cx)
-            + y * clamped_arcsin(x / cy)
-            - clamped_arcsin(x * y / (cx * cy))
-        ) / _TWO_PI
-    return sigma(x) * sigma(y) * (abs(x) + abs(y) - 1.0) / 4.0
+    w = math.sqrt(max(0.0, 1.0 - (x * x + y * y)))
+    return _atan2_sum(x, y, y, x, x * y, w)
 
 
 def delta3(x: float, y: float, z: float) -> float:
@@ -153,46 +150,36 @@ def delta3(x: float, y: float, z: float) -> float:
 def alpha_gamma(gamma: float, u: float, v: float) -> float:
     """Skewed generalization of :func:`alpha` for the sheared family.
 
-    On the support ellipse ``u^2 + v^2 - 2*u*v*sin(gamma) <= cos^2(gamma)``
-    this evaluates
+    One expression on the whole square: with ``sg = sin(gamma)`` and
+    ``w = sqrt(max(0, cos^2(gamma) - (u^2 + v^2 - 2*u*v*sg)))``,
 
-        ``(u*asin((v - u*sg)/(cg*sqrt(1-u^2)))
-          + v*asin((u - v*sg)/(cg*sqrt(1-v^2)))
-          - asin((u*v - sg)/sqrt((1-u^2)(1-v^2)))) / (2*pi)``
+        ``(u*atan2(v - u*sg, w) + v*atan2(u - v*sg, w)
+          - atan2(u*v - sg, w)) / (2*pi)``.
 
-    with ``sg = sin(gamma)``, ``cg = cos(gamma)``; outside the ellipse it
-    continues with the piecewise-linear values of the four corner regions
-    (see :func:`classify_region`), which agree with the arcsin form on the
-    ellipse boundary.  ``alpha_gamma(0.0, u, v)`` reproduces
-    ``alpha(u, v)`` bit for bit.
+    On the support ellipse this is the three-arcsin form, e.g.
+    ``asin((v - u*sg)/(cos(gamma)*sqrt(1-u^2))) = atan2(v - u*sg, w)``,
+    without its divisions; off the ellipse ``w = 0`` and the same expression
+    is exactly the linear value of the corner region (see
+    :func:`classify_region`).  ``1 - sg`` enters as ``cos^2(gamma)/(1 + sg)``
+    so the corners stay right where ``sg`` rounds to 1, and negative angles
+    use ``alpha_gamma(-gamma, -u, v) == -alpha_gamma(gamma, u, v)``.
+    ``alpha_gamma(0.0, u, v)`` reproduces ``alpha(u, v)`` bit for bit.
     """
     _check_gamma(gamma)
     _check_square(u, v, "alpha_gamma")
+    if gamma == 0.0:
+        return alpha(u, v)
+    sign = 1.0
+    if gamma < 0.0:
+        gamma, u, sign = -gamma, -u, -1.0
     sg = math.sin(gamma)
-    cg = math.cos(gamma)
-    c2 = cg * cg
-    q = u * u + v * v - 2.0 * u * v * sg
-    if q < c2 * (1.0 - BOUNDARY_BAND):
-        cu = math.sqrt(1.0 - u * u)
-        cv = math.sqrt(1.0 - v * v)
-        return (
-            u * clamped_arcsin((v - u * sg) / (cg * cu))
-            + v * clamped_arcsin((u - v * sg) / (cg * cv))
-            - clamped_arcsin((u * v - sg) / (cu * cv))
-        ) / _TWO_PI
-    # On/near the boundary and on the complement the linear pieces apply.
-    # Non-strict comparisons keep boundary points on the piece they bound.
-    if u + v >= 1.0 + sg:
-        return (u + v - 1.0) / 4.0
-    if v - u >= 1.0 - sg:
-        return (u - v + 1.0) / 4.0
-    if v - u <= sg - 1.0:
-        return (-u + v + 1.0) / 4.0
-    if u + v <= -1.0 - sg:
-        return (-u - v - 1.0) / 4.0
-    # Remaining sliver: the four tangency points of the ellipse with the
-    # square edges, where all adjacent linear pieces equal sin(gamma)/4.
-    return sg / 4.0
+    cg2 = math.cos(gamma) ** 2
+    d = cg2 / (1.0 + sg)
+    a = (v - u) + u * d
+    b = (u - v) + v * d
+    c = (u * v - 1.0) + d
+    w = math.sqrt(max(0.0, cg2 * ((1.0 - v) * (1.0 + v)) - b * b))
+    return sign * _atan2_sum(u, v, a, b, c, w)
 
 
 def classify_region(gamma: float, u: float, v: float) -> RegionId:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ballcopulas import CircularCopula
 from ballcopulas.cli import CliConfigError, GridSpec, main
 
 
@@ -269,3 +270,28 @@ def test_verify_zero_tolerance_fails(tmp_path, capsys):
 def test_unknown_arguments_exit_2(capsys):
     assert run(["eval", "--bogus"], capsys)[0] == 2
     assert run(["frobnicate"], capsys)[0] == 2
+
+
+def test_eval_elliptical_near_right_angle(capsys):
+    code, out, err = run(
+        ["eval", "--model", "elliptical", "--gamma", "1.5707963", "--quantity", "cdf",
+         "--grid", "11"],
+        capsys,
+    )
+    assert code == 0, err
+    values = [float(line.split(",")[-1]) for line in out.splitlines()[1:]]
+    assert len(values) == 121
+    assert all(0.0 <= v <= 1.0 for v in values)
+
+
+def test_internal_error_exit_4(monkeypatch, capsys):
+    def boom(self, x, y):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(CircularCopula, "cdf", boom)
+    code, out, err = run(
+        ["eval", "--model", "circular", "--quantity", "cdf", "--grid", "3"], capsys
+    )
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal: RuntimeError: boom\n"

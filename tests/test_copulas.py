@@ -411,3 +411,46 @@ def test_models_are_immutable():
     model = EllipticalCopula(0.25)
     with pytest.raises(Exception):
         model.gamma = 0.5
+
+
+# --- regressions near the support boundary ------------------------------
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_elliptical_cdf_on_border_near_right_angle(sign):
+    # Within 1.4e-4 of +-pi/2 the support ellipse nearly touches the
+    # square's corners, where forms that divide by sqrt(1 - u^2) break down.
+    border = np.linspace(-1.0, 1.0, 41)
+    for eps in np.geomspace(1.4e-4, 1e-12, 18):
+        model = EllipticalCopula(sign * (math.pi / 2 - float(eps)))
+        for t in border:
+            t = float(t)
+            for x, y in ((t, -1.0), (t, 1.0), (-1.0, t), (1.0, t)):
+                assert 0.0 <= model.cdf(x, y) <= 1.0
+            assert abs(model.cdf(t, 1.0) - (t + 1.0) / 2.0) <= 1e-15
+            assert abs(model.cdf(1.0, t) - (t + 1.0) / 2.0) <= 1e-15
+            assert model.cdf(t, -1.0) <= 1e-15
+            assert model.cdf(-1.0, t) <= 1e-15
+
+
+def test_cdf_volume_nonnegative_near_circle():
+    # The mass of a tiny rectangle straddling the circle is a difference of
+    # nearly equal CDF values, so rounding magnified near the support
+    # boundary shows up as negative mass.
+    model = CircularCopula()
+    rect = Rectangle(
+        (-0.7060652907277185, -0.7081467426402821),
+        (-0.7060652879816722, -0.7081467398942358),
+    )
+    assert cdf_volume(model, rect) >= -1e-12
+    rng = np.random.default_rng(2026)
+    n = 20000
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    radius = 1.0 + rng.uniform(-3e-9, 3e-9, n)
+    side = rng.uniform(1e-10, 5e-9, n)
+    worst = 0.0
+    for t, r, h in zip(theta, radius, side):
+        x, y = r * math.cos(t), r * math.sin(t)
+        lower = tuple(min(max(c - h / 2.0, -1.0), 1.0) for c in (x, y))
+        upper = tuple(min(max(c + h / 2.0, -1.0), 1.0) for c in (x, y))
+        worst = min(worst, cdf_volume(model, Rectangle(lower, upper)))
+    assert worst >= -1e-12
