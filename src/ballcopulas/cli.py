@@ -8,8 +8,9 @@ verify   run the verification suite, emit the report JSON
 caparea  print the spherical cap intersection area for (r1, r2, d)
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 invalid
-configuration, 3 unsupported quantity (density of the spherical model),
-4 internal error (any other exception; reported on stderr, no traceback).
+configuration (including an output path that cannot be written), 3
+unsupported quantity (density of the spherical model), 4 internal error (any
+other exception; reported on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -107,9 +108,12 @@ def _fmt(x: float) -> str:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise CliConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -178,8 +182,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         meta["gamma"] = model.gamma
     if not args.no_timestamp:
         meta["timestamp"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
-    with open(args.out + ".meta.json", "w", newline="\n") as handle:
-        handle.write(json.dumps(meta, indent=2) + "\n")
+    _emit(json.dumps(meta, indent=2) + "\n", args.out + ".meta.json")
     return EXIT_OK
 
 
@@ -192,10 +195,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "include_timestamp": not args.no_timestamp,
     }
     if args.n is not None:
-        kwargs["n_samples"] = max(args.n, 1000)
-        kwargs["mc_n"] = max(args.n, 1000)
+        kwargs["n_samples"] = args.n
+        kwargs["mc_n"] = args.n
     if args.rects is not None:
-        kwargs["rect_count"] = max(args.rects, 1)
+        kwargs["rect_count"] = args.rects
     if args.abs_tol is not None:
         kwargs["quadrature"] = QuadratureSpec(abs_tol=args.abs_tol)
     report = verify_suite(VerifyConfig(**kwargs))
@@ -264,8 +267,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--seed", type=int, default=None, help="master seed (required)")
-    p_verify.add_argument("--n", type=int, default=None, help="samples per model")
-    p_verify.add_argument("--rects", type=int, default=None, help="rectangles per model")
+    p_verify.add_argument(
+        "--n", type=int, default=None, help="samples per model (at least 1000)"
+    )
+    p_verify.add_argument(
+        "--rects", type=int, default=None, help="rectangles per model (at least 1)"
+    )
     p_verify.add_argument(
         "--tol-scale", type=float, default=1.0, help="scale all check tolerances"
     )

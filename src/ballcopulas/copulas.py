@@ -46,6 +46,7 @@ from .special_math import (
     sigma,
     _check_gamma,
     _check_square,
+    _support_discriminant,
 )
 
 __all__ = [
@@ -72,7 +73,6 @@ __all__ = [
     "nonlinear_forward",
     "nonlinear_inverse",
     "nonlinear_pdf",
-    "sample",
     "spherical_cdf",
     "spherical_survival",
 ]
@@ -177,16 +177,30 @@ def spherical_survival(x: float, y: float, z: float) -> float:
     return _clamp01((1.0 - x - y - z) / 8.0 + delta3(x, y, z) / 2.0)
 
 
+def _spherical_inclusion_exclusion(x: float, y: float, z: float) -> float:
+    # P[X > x, Y > y, Z > z] from the marginals, the pairwise (circular) CDFs
+    # and the joint CDF, unclamped.
+    return (
+        1.0
+        - (x + 1.0) / 2.0
+        - (y + 1.0) / 2.0
+        - (z + 1.0) / 2.0
+        + circular_cdf(x, y)
+        + circular_cdf(x, z)
+        + circular_cdf(y, z)
+        - spherical_cdf(x, y, z)
+    )
+
+
 def elliptical_pdf(gamma: float, u: float, v: float) -> float:
     """Density of the sheared model, ``1/(2*pi*sqrt(cos^2(gamma) - u^2 - v^2
     + 2*u*v*sin(gamma)))`` on the open support ellipse, 0 elsewhere."""
     _check_gamma(gamma)
     _check_square(u, v, "elliptical_pdf")
-    cg = math.cos(gamma)
-    disc = cg * cg - (u * u + v * v - 2.0 * u * v * math.sin(gamma))
-    if disc <= 0.0:
+    w2 = _support_discriminant(gamma, u, v)[2]
+    if w2 <= 0.0:
         return 0.0
-    return 1.0 / (_TWO_PI * math.sqrt(disc))
+    return 1.0 / (_TWO_PI * math.sqrt(w2))
 
 
 def elliptical_cdf(gamma: float, u: float, v: float) -> float:
@@ -319,6 +333,12 @@ class CopulaModel:
         raise NotImplementedError
 
     def sample(self, n: int, seed: int) -> "SampleBatch":
+        """Draw ``n`` exact samples, reproducibly from ``seed``.
+
+        One seed is one stream: a batch is a pure function of ``(seed, n)``.
+        Callers who parallelize must partition work across disjoint seeds;
+        the combined result then does not depend on the worker count.
+        """
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -416,17 +436,7 @@ class SphericalCopula(CopulaModel):
         _check_cube3(x, y, z, "survival")
         if x >= 0.0 and y >= 0.0 and z >= 0.0:
             return spherical_survival(x, y, z)
-        val = (
-            1.0
-            - (x + 1.0) / 2.0
-            - (y + 1.0) / 2.0
-            - (z + 1.0) / 2.0
-            + circular_cdf(x, y)
-            + circular_cdf(x, z)
-            + circular_cdf(y, z)
-            - spherical_cdf(x, y, z)
-        )
-        return _clamp01(val)
+        return _clamp01(_spherical_inclusion_exclusion(x, y, z))
 
     def in_support(self, x: float, y: float, z: float, tol: float = 1e-12) -> bool:
         return abs(x * x + y * y + z * z - 1.0) <= tol
@@ -469,9 +479,7 @@ class EllipticalCopula(CopulaModel):
         return elliptical_correlation(self.gamma)
 
     def in_support(self, u: float, v: float, tol: float = 1e-12) -> bool:
-        cg = math.cos(self.gamma)
-        q = u * u + v * v - 2.0 * u * v * math.sin(self.gamma)
-        return q <= cg * cg + tol
+        return _support_discriminant(self.gamma, u, v)[2] >= -tol
 
     def sample(self, n: int, seed: int) -> SampleBatch:
         _check_sample_size(n)
@@ -526,16 +534,6 @@ class NonlinearDiskCopula(CopulaModel):
 def _check_sample_size(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"sample size must be a positive integer, got {n!r}")
-
-
-def sample(model: CopulaModel, n: int, seed: int) -> SampleBatch:
-    """Draw ``n`` exact samples from ``model``, reproducibly from ``seed``.
-
-    One seed is one stream: a batch is a pure function of ``(seed, n)``.
-    Callers who parallelize must partition work across disjoint seeds; the
-    combined result then does not depend on the worker count.
-    """
-    return model.sample(n, seed)
 
 
 def model_from_name(name: str, gamma: float | None = None) -> CopulaModel:

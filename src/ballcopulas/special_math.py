@@ -169,17 +169,31 @@ def alpha_gamma(gamma: float, u: float, v: float) -> float:
     _check_square(u, v, "alpha_gamma")
     if gamma == 0.0:
         return alpha(u, v)
-    sign = 1.0
-    if gamma < 0.0:
-        gamma, u, sign = -gamma, -u, -1.0
-    sg = math.sin(gamma)
-    cg2 = math.cos(gamma) ** 2
-    d = cg2 / (1.0 + sg)
+    sign = -1.0 if gamma < 0.0 else 1.0
+    u, d, w2 = _support_discriminant(gamma, u, v)
     a = (v - u) + u * d
     b = (u - v) + v * d
     c = (u * v - 1.0) + d
-    w = math.sqrt(max(0.0, cg2 * ((1.0 - v) * (1.0 + v)) - b * b))
-    return sign * _atan2_sum(u, v, a, b, c, w)
+    return sign * _atan2_sum(u, v, a, b, c, math.sqrt(max(0.0, w2)))
+
+
+def _support_discriminant(gamma: float, u: float, v: float) -> tuple[float, float, float]:
+    # (u, d, w2) in the frame reflected to gamma >= 0, where a negative angle
+    # maps (gamma, u, v) to (-gamma, -u, v).  d = 1 - sin(gamma) enters as
+    # cos^2(gamma)/(1 + sin(gamma)), which stays right where sin(gamma)
+    # rounds to 1.  w2 = cos^2(gamma) - (u^2 + v^2 - 2*u*v*sin(gamma)),
+    # positive inside the support ellipse, is computed as
+    # cos^2(gamma)*(1-v)(1+v) - b^2 with b = (u - v) + v*d = u - v*sin(gamma),
+    # which does not cancel near the corners where the ellipse touches the
+    # square.  At gamma = 0 it is the disk's own 1 - (u^2 + v^2).
+    if gamma == 0.0:
+        return u, 1.0, 1.0 - (u * u + v * v)
+    if gamma < 0.0:
+        gamma, u = -gamma, -u
+    cg2 = math.cos(gamma) ** 2
+    d = cg2 / (1.0 + math.sin(gamma))
+    b = (u - v) + v * d
+    return u, d, cg2 * ((1.0 - v) * (1.0 + v)) - b * b
 
 
 def classify_region(gamma: float, u: float, v: float) -> RegionId:

@@ -267,6 +267,33 @@ def test_verify_zero_tolerance_fails(tmp_path, capsys):
     assert json.loads(out.read_text())["global_pass"] is False
 
 
+def test_verify_rejects_too_few_samples_or_rectangles(capsys):
+    code, _, err = run(["verify", "--seed", "7", "--n", "5"], capsys)
+    assert code == 2
+    assert "1000 samples" in err
+    code, _, err = run(["verify", "--seed", "7", "--rects", "0"], capsys)
+    assert code == 2
+    assert "rectangle" in err
+
+
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.csv"
+    code, _, err = run(
+        ["eval", "--model", "circular", "--quantity", "cdf", "--grid", "3",
+         "--out", str(missing)],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith(f"error: cannot write {missing}")
+    code, _, err = run(
+        ["sample", "--model", "circular", "--n", "5", "--seed", "1",
+         "--out", str(missing)],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith(f"error: cannot write {missing}")
+
+
 def test_unknown_arguments_exit_2(capsys):
     assert run(["eval", "--bogus"], capsys)[0] == 2
     assert run(["frobnicate"], capsys)[0] == 2

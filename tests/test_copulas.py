@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -29,7 +30,6 @@ from ballcopulas import (
     nonlinear_forward,
     nonlinear_inverse,
     nonlinear_pdf,
-    sample,
     spherical_cdf,
     spherical_survival,
 )
@@ -198,6 +198,29 @@ def test_elliptical_cdf_reductions():
         assert abs(elliptical_cdf(g, 1.0, float(t)) - (t + 1.0) / 2.0) <= 1e-12
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_elliptical_support_near_right_angle_corner(sign):
+    # Near the corner (sign, 1) where the support ellipse touches the square,
+    # cos^2(g) - (u^2 + v^2 - 2uv sin(g)) cancels as g -> sign*pi/2.  The
+    # reference is exact from the float cos and sin of |g|, in the frame
+    # where a negative angle is reflected to (-g, -u, v).
+    g = sign * (math.pi / 2 - 1e-7)
+    c, s = Fraction(math.cos(g)), Fraction(math.sin(abs(g)))
+    model = EllipticalCopula(g)
+    rng = np.random.default_rng(5)
+    for _ in range(1000):
+        v = 1.0 - float(rng.uniform(0.0, 0.1))
+        u = sign * (v + float(rng.uniform(-1e-7, 1e-7)))
+        a, b = Fraction(sign * u), Fraction(v)
+        ref = c * c - a * a - b * b + 2 * a * b * (1 - c * c / (1 + s))
+        pdf = elliptical_pdf(g, u, v)
+        assert (pdf > 0.0) == (ref > 0), (u, v)
+        assert model.in_support(u, v, tol=0.0) == (ref >= 0), (u, v)
+        if ref > 0:
+            exact = 1.0 / (2.0 * math.pi * math.sqrt(ref))
+            assert abs(pdf - exact) <= 1e-10 * exact, (u, v)
+
+
 def test_elliptical_point_symmetry():
     rng = np.random.default_rng(11)
     for g in (-math.pi / 4, math.pi / 8, math.pi / 4):
@@ -350,8 +373,6 @@ def test_sample_argument_validation():
         model.sample(10, -1)
     with pytest.raises(DomainError):
         model.sample(10, 2**64)
-    batch = sample(model, 10, 5)
-    assert batch.seed == 5 and len(batch) == 10
 
 
 def test_model_from_name():

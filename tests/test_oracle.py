@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -243,6 +244,17 @@ def test_verify_suite_passes_and_is_deterministic():
     assert json.dumps(d1) == json.dumps(d2)
 
 
+def test_verify_suite_inventory():
+    # Names, models and inputs of every check, in report order; the
+    # tolerances are left out because some derive from the samples.
+    rep = verify_suite(VerifyConfig(seed=7, **SMALL))
+    inventory = json.dumps([(c.name, c.model, c.input) for c in rep.checks])
+    assert len(rep.checks) == 103
+    assert hashlib.sha256(inventory.encode()).hexdigest() == (
+        "87994ed6b7b8b0e65a4437c2812c3df586b2e770372480334a86aa96948dd32e"
+    )
+
+
 def test_verify_suite_report_schema():
     cfg = VerifyConfig(seed=7, include_timestamp=False, **SMALL)
     rep = verify_suite(cfg)
@@ -285,6 +297,10 @@ def test_verify_config_validation():
         VerifyConfig(n_samples=10)
     with pytest.raises(DomainError):
         VerifyConfig(tol_scale=-1.0)
+    with pytest.raises(DomainError):
+        VerifyConfig(rect_count=0)
+    with pytest.raises(DomainError):
+        VerifyConfig(mass_rect_count=0)
 
 
 def test_quad_mass_across_support_kinks():
