@@ -21,8 +21,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, product
 
-from .copulas import CopulaModel, EllipticalCopula, model_from_name
+import numpy as np
+
+from .copulas import CopulaModel, EllipticalCopula, evaluate, model_from_name
 from .errors import BallCopulasError
 from .oracle import QuadratureSpec, VerifyConfig, verify_suite
 from .special_math import cap_intersection_area
@@ -100,9 +103,10 @@ def _build_model(args: argparse.Namespace) -> CopulaModel:
     return model_from_name(args.model, gamma)
 
 
-def _fmt(x: float) -> str:
-    # Shortest round-trip decimal form; locale independent.
-    return repr(float(x))
+def _csv(header: str, rows) -> str:
+    # ``rows`` yields tuples of formatted cells.  Floats are formatted with
+    # repr: the shortest round-trip decimal form, locale independent.
+    return "\n".join(chain((header,), map(",".join, rows))) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -126,33 +130,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
         return EXIT_UNSUPPORTED_QUANTITY
     grid = GridSpec(axis_points=args.grid, quantity=args.quantity)
-    fn = {
-        "pdf": model.pdf,
-        "cdf": model.cdf,
-        "survival": model.survival,
-    }[grid.quantity]
     coords = ("x", "y") if model.dim == 2 else ("x", "y", "z")
-
-    rows: list[tuple[float, ...]] = []
-    if model.dim == 2:
-        ax, ay = grid.axes(2)
-        for x in ax:
-            for y in ay:
-                rows.append((x, y, fn(x, y)))
-    else:
-        ax, ay, az = grid.axes(3)
-        for x in ax:
-            for y in ay:
-                for z in az:
-                    rows.append((x, y, z, fn(x, y, z)))
+    axes = grid.axes(model.dim)
+    # Row-major over the grid: x varies slowest.
+    mesh = np.meshgrid(*axes, indexing="ij")
+    values = evaluate(model, grid.quantity, *mesh).ravel().tolist()
 
     if args.format == "csv":
-        lines = [",".join(coords) + ",value"]
-        lines.extend(",".join(_fmt(t) for t in row) for row in rows)
-        _emit("\n".join(lines) + "\n", args.out)
+        # Each axis coordinate is formatted once, not once per row.
+        labels = [list(map(repr, axis)) for axis in axes]
+        rows = zip(map(",".join, product(*labels)), map(repr, values))
+        _emit(_csv(",".join(coords) + ",value", rows), args.out)
     else:
         records = [
-            {**dict(zip(coords, row[:-1])), "value": row[-1]} for row in rows
+            {**dict(zip(coords, point)), "value": value}
+            for point, value in zip(product(*axes), values)
         ]
         _emit(json.dumps(records, indent=2) + "\n", args.out)
     return EXIT_OK
@@ -168,9 +160,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise CliConfigError("--out is required for sample")
     batch = model.sample(args.n, args.seed)
     coords = ("x", "y") if model.dim == 2 else ("x", "y", "z")
-    lines = [",".join(coords)]
-    lines.extend(",".join(_fmt(t) for t in row) for row in batch.points)
-    _emit("\n".join(lines) + "\n", args.out)
+    cells = map(repr, batch.points.ravel().tolist())
+    _emit(_csv(",".join(coords), zip(*[cells] * model.dim)), args.out)
 
     meta = {
         "model": model.name,

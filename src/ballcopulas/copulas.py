@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import ClassVar
 
@@ -40,12 +41,13 @@ from .errors import (
     NotAbsolutelyContinuousError,
 )
 from .special_math import (
-    alpha,
-    alpha_gamma,
-    delta3,
     sigma,
+    _alpha,
+    _alpha_gamma,
+    _check_cube3,
     _check_gamma,
     _check_square,
+    _delta3,
     _support_discriminant,
 )
 
@@ -66,6 +68,7 @@ __all__ = [
     "elliptical_cdf",
     "elliptical_correlation",
     "elliptical_pdf",
+    "evaluate",
     "marginal_pdf_circle",
     "marginal_pdf_disk",
     "model_from_name",
@@ -84,13 +87,19 @@ _TWO_PI = 2.0 * math.pi
 _MAX_SEED = 2**64
 
 
-def _check_cube3(x: float, y: float, z: float, context: str) -> None:
-    if not (abs(x) <= 1.0 and abs(y) <= 1.0 and abs(z) <= 1.0):
-        raise DomainError(f"{context}: point ({x!r}, {y!r}, {z!r}) outside [-1, 1]^3")
+def _clamp01(t, minimum=min, maximum=max):
+    return minimum(1.0, maximum(0.0, t))
 
 
-def _clamp01(t: float) -> float:
-    return min(1.0, max(0.0, t))
+def _planar_cdf(u, v, correction, clamp=_clamp01):
+    # The linear part of every planar CDF plus the model's correction term.
+    return clamp((u + v + 1.0) / 4.0 + correction)
+
+
+def _density(w2, sqrt=math.sqrt):
+    # The circular and elliptical density for a positive support
+    # discriminant w2 (1 - x^2 - y^2 on the disk).
+    return 1.0 / (_TWO_PI * sqrt(w2))
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +128,16 @@ def circular_pdf(x: float, y: float) -> float:
     """Density of the circular model: ``1/(2*pi*sqrt(1 - x^2 - y^2))`` on the
     open disk, and 0 on the circle and outside (boundary convention)."""
     _check_square(x, y, "circular_pdf")
-    s = x * x + y * y
-    if s >= 1.0:
+    w2 = 1.0 - (x * x + y * y)
+    if w2 <= 0.0:
         return 0.0
-    return 1.0 / (_TWO_PI * math.sqrt(1.0 - s))
+    return _density(w2)
 
 
 def circular_cdf(x: float, y: float) -> float:
     """Joint CDF of the circular model: ``(x + y + 1)/4 + alpha(x, y)``."""
     _check_square(x, y, "circular_cdf")
-    return _clamp01((x + y + 1.0) / 4.0 + alpha(x, y))
+    return _planar_cdf(x, y, _alpha(x, y))
 
 
 def circular_survival(x: float, y: float) -> float:
@@ -151,12 +160,23 @@ def spherical_cdf(x: float, y: float, z: float) -> float:
     + delta3(|x|, |y|, |z|)/2)`` is added.
     """
     _check_cube3(x, y, z, "spherical_cdf")
-    val = (1.0 + x + y + z) / 8.0 + delta3(x, y, z) / 2.0
+    val = _spherical_sum(x, y, z)
     if x * x + y * y + z * z >= 1.0:
-        ax, ay, az = abs(x), abs(y), abs(z)
-        corr = (1.0 - ax - ay - az) / 8.0 + delta3(ax, ay, az) / 2.0
-        val += sigma(x) * sigma(y) * sigma(z) * corr
+        val += _outside_correction(x, y, z)
     return _clamp01(val)
+
+
+def _spherical_sum(x, y, z, delta3=_delta3):
+    return (1.0 + x + y + z) / 8.0 + delta3(x, y, z) / 2.0
+
+
+def _octant_tail(x, y, z, delta3=_delta3):
+    return (1.0 - x - y - z) / 8.0 + delta3(x, y, z) / 2.0
+
+
+def _outside_correction(x, y, z, delta3=_delta3, absolute=abs, sign=sigma):
+    tail = _octant_tail(absolute(x), absolute(y), absolute(z), delta3)
+    return sign(x) * sign(y) * sign(z) * tail
 
 
 def spherical_survival(x: float, y: float, z: float) -> float:
@@ -174,21 +194,21 @@ def spherical_survival(x: float, y: float, z: float) -> float:
         )
     if x * x + y * y + z * z >= 1.0:
         return 0.0
-    return _clamp01((1.0 - x - y - z) / 8.0 + delta3(x, y, z) / 2.0)
+    return _clamp01(_octant_tail(x, y, z))
 
 
-def _spherical_inclusion_exclusion(x: float, y: float, z: float) -> float:
+def _spherical_inclusion_exclusion(x, y, z, pair_cdf, joint_cdf):
     # P[X > x, Y > y, Z > z] from the marginals, the pairwise (circular) CDFs
-    # and the joint CDF, unclamped.
+    # and the joint CDF, unclamped; the CDFs are passed in, scalar or array.
     return (
         1.0
         - (x + 1.0) / 2.0
         - (y + 1.0) / 2.0
         - (z + 1.0) / 2.0
-        + circular_cdf(x, y)
-        + circular_cdf(x, z)
-        + circular_cdf(y, z)
-        - spherical_cdf(x, y, z)
+        + pair_cdf(x, y)
+        + pair_cdf(x, z)
+        + pair_cdf(y, z)
+        - joint_cdf(x, y, z)
     )
 
 
@@ -200,14 +220,14 @@ def elliptical_pdf(gamma: float, u: float, v: float) -> float:
     w2 = _support_discriminant(gamma, u, v)[2]
     if w2 <= 0.0:
         return 0.0
-    return 1.0 / (_TWO_PI * math.sqrt(w2))
+    return _density(w2)
 
 
 def elliptical_cdf(gamma: float, u: float, v: float) -> float:
     """Joint CDF of the sheared model: ``(u + v + 1)/4 + alpha_gamma``."""
     _check_gamma(gamma)
     _check_square(u, v, "elliptical_cdf")
-    return _clamp01((u + v + 1.0) / 4.0 + alpha_gamma(gamma, u, v))
+    return _planar_cdf(u, v, _alpha_gamma(gamma, u, v))
 
 
 def elliptical_correlation(gamma: float) -> float:
@@ -241,21 +261,26 @@ def nonlinear_pdf(u: float, v: float) -> float:
     """Density of the nonlinear-transform model on the square:
     ``sqrt((1-u^2)(1-v^2)) / (pi * (1 - u^2 v^2)^2)``."""
     _check_square(u, v, "nonlinear_pdf")
+    if abs(u) == 1.0 and abs(v) == 1.0:
+        # Corner points, where 1 - u^2 v^2 = 0; the density vanishes along
+        # both square edges.
+        return 0.0
+    return _nonlinear_density(u, v)
+
+
+def _nonlinear_density(u, v, sqrt=math.sqrt):
     a = u * u
     b = v * v
     den = 1.0 - a * b
-    if den == 0.0:
-        # Corner points; the density vanishes along both square edges.
-        return 0.0
-    return math.sqrt((1.0 - a) * (1.0 - b)) / (math.pi * den * den)
+    return sqrt((1.0 - a) * (1.0 - b)) / (math.pi * den * den)
 
 
-def _overlap_atan2(u: float, v: float) -> float:
+def _overlap_atan2(u, v, sqrt=math.sqrt, atan2=math.atan2):
     # u*asin(v*cu/sqrt(1-u^2 v^2)) + v*asin(u*cv/sqrt(1-u^2 v^2)) without the
     # divisions: 1 - u^2 v^2 = (v*cu)^2 + cv^2 = (u*cv)^2 + cu^2.
-    cu = math.sqrt(1.0 - u * u)
-    cv = math.sqrt(1.0 - v * v)
-    return u * math.atan2(v * cu, cv) + v * math.atan2(u * cv, cu)
+    cu = sqrt(1.0 - u * u)
+    cv = sqrt(1.0 - v * v)
+    return u * atan2(v * cu, cv) + v * atan2(u * cv, cu)
 
 
 def ellipse_intersection_area(u: float, v: float) -> float:
@@ -290,7 +315,7 @@ def nonlinear_cdf(u: float, v: float) -> float:
     _check_square(u, v, "nonlinear_cdf")
     if abs(u) == 1.0 and abs(v) == 1.0:
         return 1.0 if (u > 0.0 and v > 0.0) else 0.0
-    return _clamp01((u + v + 1.0) / 4.0 + _overlap_atan2(u, v) / _TWO_PI)
+    return _planar_cdf(u, v, _overlap_atan2(u, v) / _TWO_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +406,15 @@ class CircularCopula(CopulaModel):
     def survival(self, x: float, y: float) -> float:
         return circular_survival(x, y)
 
+    def _pdf_array(self, x, y):
+        return _sheared_pdf_array(0.0, x, y)
+
+    def _cdf_array(self, x, y):
+        return _circular_cdf_array(x, y)
+
+    def _survival_array(self, x, y):
+        return _circular_cdf_array(-x, -y)
+
     def in_support(self, x: float, y: float, tol: float = 1e-12) -> bool:
         return x * x + y * y <= 1.0 + tol
 
@@ -436,7 +470,15 @@ class SphericalCopula(CopulaModel):
         _check_cube3(x, y, z, "survival")
         if x >= 0.0 and y >= 0.0 and z >= 0.0:
             return spherical_survival(x, y, z)
-        return _clamp01(_spherical_inclusion_exclusion(x, y, z))
+        return _clamp01(_spherical_inclusion_exclusion(x, y, z, circular_cdf, spherical_cdf))
+
+    _pdf_array = pdf
+
+    def _cdf_array(self, x, y, z):
+        return _spherical_cdf_array(x, y, z)
+
+    def _survival_array(self, x, y, z):
+        return _spherical_survival_array(x, y, z)
 
     def in_support(self, x: float, y: float, z: float, tol: float = 1e-12) -> bool:
         return abs(x * x + y * y + z * z - 1.0) <= tol
@@ -475,6 +517,15 @@ class EllipticalCopula(CopulaModel):
         # CDF at the reflected point.
         return elliptical_cdf(self.gamma, -u, -v)
 
+    def _pdf_array(self, u, v):
+        return _sheared_pdf_array(self.gamma, u, v)
+
+    def _cdf_array(self, u, v):
+        return _elliptical_cdf_array(self.gamma, u, v)
+
+    def _survival_array(self, u, v):
+        return _elliptical_cdf_array(self.gamma, -u, -v)
+
     def correlation(self) -> float:
         return elliptical_correlation(self.gamma)
 
@@ -509,6 +560,15 @@ class NonlinearDiskCopula(CopulaModel):
 
     def survival(self, u: float, v: float) -> float:
         return nonlinear_cdf(-u, -v)
+
+    def _pdf_array(self, u, v):
+        return _nonlinear_pdf_array(u, v)
+
+    def _cdf_array(self, u, v):
+        return _nonlinear_cdf_array(u, v)
+
+    def _survival_array(self, u, v):
+        return _nonlinear_cdf_array(-u, -v)
 
     def in_support(self, u: float, v: float, tol: float = 1e-12) -> bool:
         return abs(u) <= 1.0 + tol and abs(v) <= 1.0 + tol
@@ -593,12 +653,137 @@ def cdf_volume(model: CopulaModel, rect: Rectangle) -> float:
         raise DomainError(
             f"rectangle dimension {rect.dim} does not match model dimension {model.dim}"
         )
+    return _corner_sum(model.cdf, rect.lower, rect.upper)
+
+
+def _corner_sum(cdf, lower, upper):
+    # The alternating sum over the corners in one fixed order.  Given
+    # coordinate columns and an array CDF it sums whole columns of
+    # rectangles, term by term as the scalar loop does, to the same bits.
+    dim = len(lower)
     total = 0.0
-    for mask in product((0, 1), repeat=rect.dim):
-        corner = tuple(
-            rect.upper[i] if bit else rect.lower[i] for i, bit in enumerate(mask)
-        )
-        parity = rect.dim - sum(mask)
-        term = model.cdf(*corner)
-        total += term if parity % 2 == 0 else -term
+    for mask in product((0, 1), repeat=dim):
+        term = cdf(*(hi if bit else lo for lo, hi, bit in zip(lower, upper, mask)))
+        total += term if (dim - sum(mask)) % 2 == 0 else -term
     return total
+
+
+# ---------------------------------------------------------------------------
+# array evaluation
+# ---------------------------------------------------------------------------
+
+# Points per slab in evaluate(): bounds the Python-float temporaries of the
+# exact atan2 map.
+_SLAB = 4096
+
+
+def evaluate(model: CopulaModel, quantity: str, *coords) -> np.ndarray:
+    """Evaluate ``model.pdf``, ``model.cdf`` or ``model.survival`` at many
+    points at once.
+
+    ``coords`` are ``model.dim`` array-likes that broadcast together; the
+    result is a float array of their broadcast shape.  Every value equals
+    the scalar call at the same point bit for bit: the kernels run the
+    scalar closed forms' own expressions on arrays (numpy's ``+ - * /`` and
+    ``sqrt`` round exactly as Python floats do), ``max``, ``min`` and
+    ``sorted`` keep Python's choice between 0.0 and -0.0, and each ``atan2``
+    goes through ``math.atan2``, since ``np.arctan2`` can differ from it in
+    the last bit.  A point outside the cube raises :class:`DomainError`, and
+    the spherical density raises :class:`NotAbsolutelyContinuousError` as
+    the scalar method does.
+    """
+    if quantity not in ("pdf", "cdf", "survival"):
+        raise DomainError(f"unknown quantity {quantity!r}")
+    if len(coords) != model.dim:
+        raise DomainError(f"{model.describe()} takes {model.dim} coordinates, got {len(coords)}")
+    arrays = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
+    shape = arrays[0].shape
+    cols = [a.ravel() for a in arrays]
+    outside = ~np.logical_and.reduce([np.abs(c) <= 1.0 for c in cols])
+    if outside.any():
+        i = int(np.argmax(outside))
+        point = tuple(float(c[i]) for c in cols)
+        raise DomainError(f"evaluate: point {point!r} outside [-1, 1]^{model.dim}")
+    kernel = getattr(model, f"_{quantity}_array")
+    out = np.empty(outside.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, out.size, _SLAB):
+            out[lo:lo + _SLAB] = kernel(*(c[lo:lo + _SLAB] for c in cols))
+    return out.reshape(shape)
+
+
+def _atan2_exact(a, w):
+    return np.fromiter(map(math.atan2, a.tolist(), w.tolist()), float, a.size)
+
+
+def _max_exact(a, b):
+    # max(a, b) element by element; a tie goes to ``a`` as in Python, where
+    # np.maximum(0.0, -0.0) gives -0.0.
+    return np.where(b > a, b, a)
+
+
+def _min_exact(a, b):
+    return np.where(b < a, b, a)
+
+
+def _sorted_exact(columns):
+    return np.sort(np.stack(columns, axis=-1), axis=-1, kind="stable").T
+
+
+def _sign_exact(t):
+    return np.sign(t).astype(np.int64)
+
+
+_clamp01_array = partial(_clamp01, minimum=_min_exact, maximum=_max_exact)
+_alpha_array = partial(_alpha, sqrt=np.sqrt, maximum=_max_exact, atan2=_atan2_exact)
+_alpha_gamma_array = partial(_alpha_gamma, sqrt=np.sqrt, maximum=_max_exact, atan2=_atan2_exact)
+_delta3_array = partial(_delta3, alpha=_alpha_array, sort=_sorted_exact)
+
+
+def _sheared_pdf_array(gamma, u, v):
+    w2 = _support_discriminant(gamma, u, v)[2]
+    return np.where(w2 > 0.0, _density(w2, np.sqrt), 0.0)
+
+
+def _circular_cdf_array(x, y):
+    return _planar_cdf(x, y, _alpha_array(x, y), _clamp01_array)
+
+
+def _elliptical_cdf_array(gamma, u, v):
+    return _planar_cdf(u, v, _alpha_gamma_array(gamma, u, v), _clamp01_array)
+
+
+def _nonlinear_corners(u, v):
+    return (np.abs(u) == 1.0) & (np.abs(v) == 1.0)
+
+
+def _nonlinear_pdf_array(u, v):
+    return np.where(_nonlinear_corners(u, v), 0.0, _nonlinear_density(u, v, np.sqrt))
+
+
+def _nonlinear_cdf_array(u, v):
+    overlap = _overlap_atan2(u, v, np.sqrt, _atan2_exact)
+    val = _planar_cdf(u, v, overlap / _TWO_PI, _clamp01_array)
+    upper = np.where((u > 0.0) & (v > 0.0), 1.0, 0.0)
+    return np.where(_nonlinear_corners(u, v), upper, val)
+
+
+def _spherical_cdf_array(x, y, z):
+    val = _spherical_sum(x, y, z, _delta3_array)
+    out = x * x + y * y + z * z >= 1.0
+    val[out] += _outside_correction(x[out], y[out], z[out], _delta3_array, np.abs, _sign_exact)
+    return _clamp01_array(val)
+
+
+def _spherical_survival_array(x, y, z):
+    out = np.zeros_like(x)
+    first = (x >= 0.0) & (y >= 0.0) & (z >= 0.0)
+    rest = ~first
+    out[rest] = _clamp01_array(
+        _spherical_inclusion_exclusion(
+            x[rest], y[rest], z[rest], _circular_cdf_array, _spherical_cdf_array
+        )
+    )
+    inside = first & (x * x + y * y + z * z < 1.0)
+    out[inside] = _clamp01_array(_octant_tail(x[inside], y[inside], z[inside], _delta3_array))
+    return out

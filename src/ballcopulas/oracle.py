@@ -23,8 +23,8 @@ import datetime as _dt
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from itertools import permutations, product
+from functools import lru_cache, partial
+from itertools import permutations
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -42,10 +42,12 @@ from .copulas import (
     cdf_volume,
     circular_cdf,
     circular_survival,
+    evaluate,
     nonlinear_forward,
     nonlinear_inverse,
     spherical_cdf,
     spherical_survival,
+    _corner_sum,
     _spherical_inclusion_exclusion,
 )
 from .errors import (
@@ -525,8 +527,8 @@ class VerifyConfig:
             raise DomainError("verification needs at least 1000 samples")
         if self.rect_count < 1 or self.mass_rect_count < 1:
             raise DomainError("verification needs at least 1 rectangle per model")
-        if self.tol_scale < 0.0:
-            raise DomainError("tol_scale must be nonnegative")
+        if not (math.isfinite(self.tol_scale) and self.tol_scale >= 0.0):
+            raise DomainError(f"tol_scale must be finite and nonnegative, got {self.tol_scale!r}")
 
 
 def _derived_seed(master: int, index: int) -> int:
@@ -545,14 +547,21 @@ def _max_gap(pairs: Iterable[tuple[float, float]]) -> float:
     return max((abs(f - g) for f, g in pairs), default=0.0)
 
 
-def _random_rectangles(rng: np.random.Generator, count: int, dim: int) -> list[Rectangle]:
+def _first_min(values: np.ndarray) -> float:
+    # min() of the values as Python takes it: the first of equal minima, so
+    # of 0.0 and -0.0 the earlier one (np.min can return a later one).
+    return float(values[np.argmin(values)])
+
+
+def _random_corners(rng: np.random.Generator, count: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     a = rng.uniform(-1.0, 1.0, (count, dim))
     b = rng.uniform(-1.0, 1.0, (count, dim))
-    lows = np.minimum(a, b)
-    highs = np.maximum(a, b)
-    return [
-        Rectangle(tuple(lows[i]), tuple(highs[i])) for i in range(count)
-    ]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _random_rectangles(rng: np.random.Generator, count: int, dim: int) -> list[Rectangle]:
+    lows, highs = _random_corners(rng, count, dim)
+    return [Rectangle(tuple(lows[i]), tuple(highs[i])) for i in range(count)]
 
 
 def _scalar_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tuple]:
@@ -658,8 +667,7 @@ def _model_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tupl
         yield "uniform_marginals", m.describe(), "41-point edge grids", _max_gap(edges), 0.0, 1e-12
 
     for m in models:
-        values = np.array([m.cdf(*p) for p in product(grid, repeat=m.dim)])
-        values = values.reshape((len(grid),) * m.dim)
+        values = evaluate(m, "cdf", *np.meshgrid(*[grid] * m.dim, indexing="ij"))
         violation = max(
             float(np.max(values - 1.0)),
             float(np.max(-values)),
@@ -669,8 +677,9 @@ def _model_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tupl
         yield "cdf_range_and_monotonicity", m.describe(), "41-per-axis grid", violation, 0.0, 1e-12
 
     for i, m in enumerate(models):
-        rects = _random_rectangles(_rng(cfg, 10 + i), cfg.rect_count, m.dim)
-        least = min(min(cdf_volume(m, r) for r in rects), 0.0)
+        lows, highs = _random_corners(_rng(cfg, 10 + i), cfg.rect_count, m.dim)
+        masses = _corner_sum(partial(evaluate, m, "cdf"), lows.T, highs.T)
+        least = min(_first_min(masses), 0.0)
         count = f"{cfg.rect_count} random rectangles"
         yield "rect_mass_nonnegative", m.describe(), count, least, 0.0, 1e-12
 
@@ -699,7 +708,10 @@ def _model_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tupl
 
     rng = _rng(cfg, 5)
     octant = [rng.uniform(0.0, 0.57, 3) for _ in range(100)]
-    gap = _max_gap((spherical_survival(*p), _spherical_inclusion_exclusion(*p)) for p in octant)
+    gap = _max_gap(
+        (spherical_survival(*p), _spherical_inclusion_exclusion(*p, circular_cdf, spherical_cdf))
+        for p in octant
+    )
     where = "100 first-octant points"
     yield "spherical_survival_inclusion_exclusion", "spherical", where, gap, 0.0, 1e-12
 

@@ -96,6 +96,11 @@ def _check_square(x: float, y: float, context: str) -> None:
         raise DomainError(f"{context}: point ({x!r}, {y!r}) outside [-1, 1]^2")
 
 
+def _check_cube3(x: float, y: float, z: float, context: str) -> None:
+    if not (abs(x) <= 1.0 and abs(y) <= 1.0 and abs(z) <= 1.0):
+        raise DomainError(f"{context}: point ({x!r}, {y!r}, {z!r}) outside [-1, 1]^3")
+
+
 def _check_gamma(gamma: float) -> None:
     if not (-_HALF_PI < gamma < _HALF_PI):
         raise DomainError(
@@ -103,14 +108,20 @@ def _check_gamma(gamma: float) -> None:
         )
 
 
-def _atan2_sum(u: float, v: float, a: float, b: float, c: float, w: float) -> float:
+# The private kernels below take their elementwise primitives as default
+# arguments: scalar callers get math.sqrt, max and math.atan2, and the array
+# path of copulas.evaluate passes elementwise equivalents that round the same
+# way, so both paths run one expression and agree bit for bit.
+
+
+def _atan2_sum(u, v, a, b, c, w, atan2=math.atan2):
     # (u*atan2(a, w) + v*atan2(b, w) - atan2(c, w)) / (2*pi).  Each atan2 is
     # divided by pi/2 before it is weighted, so at w = 0 the quotients are
     # exactly +-1 or 0 and the linear continuation comes out exact.
     return (
-        u * (math.atan2(a, w) / _HALF_PI)
-        + v * (math.atan2(b, w) / _HALF_PI)
-        - math.atan2(c, w) / _HALF_PI
+        u * (atan2(a, w) / _HALF_PI)
+        + v * (atan2(b, w) / _HALF_PI)
+        - atan2(c, w) / _HALF_PI
     ) / 4.0
 
 
@@ -132,8 +143,12 @@ def alpha(x: float, y: float) -> float:
     ``e, d = +-1``.
     """
     _check_square(x, y, "alpha")
-    w = math.sqrt(max(0.0, 1.0 - (x * x + y * y)))
-    return _atan2_sum(x, y, y, x, x * y, w)
+    return _alpha(x, y)
+
+
+def _alpha(x, y, sqrt=math.sqrt, maximum=max, atan2=math.atan2):
+    w = sqrt(maximum(0.0, 1.0 - (x * x + y * y)))
+    return _atan2_sum(x, y, y, x, x * y, w, atan2)
 
 
 def delta3(x: float, y: float, z: float) -> float:
@@ -143,7 +158,14 @@ def delta3(x: float, y: float, z: float) -> float:
     ``(x, y, z)`` return bit-identical values while the summation order
     stays fixed.
     """
-    a, b, c = sorted((x, y, z))
+    _check_cube3(x, y, z, "delta3")
+    return _delta3(x, y, z)
+
+
+def _delta3(x, y, z, alpha=_alpha, sort=sorted):
+    # ``sort`` must be stable, as ``sorted`` is: 0.0 and -0.0 compare equal,
+    # and their order decides the signs of zero that alpha sees.
+    a, b, c = sort((x, y, z))
     return alpha(a, b) + alpha(a, c) + alpha(b, c)
 
 
@@ -167,17 +189,21 @@ def alpha_gamma(gamma: float, u: float, v: float) -> float:
     """
     _check_gamma(gamma)
     _check_square(u, v, "alpha_gamma")
+    return _alpha_gamma(gamma, u, v)
+
+
+def _alpha_gamma(gamma, u, v, sqrt=math.sqrt, maximum=max, atan2=math.atan2):
     if gamma == 0.0:
-        return alpha(u, v)
+        return _alpha(u, v, sqrt, maximum, atan2)
     sign = -1.0 if gamma < 0.0 else 1.0
     u, d, w2 = _support_discriminant(gamma, u, v)
     a = (v - u) + u * d
     b = (u - v) + v * d
     c = (u * v - 1.0) + d
-    return sign * _atan2_sum(u, v, a, b, c, math.sqrt(max(0.0, w2)))
+    return sign * _atan2_sum(u, v, a, b, c, sqrt(maximum(0.0, w2)), atan2)
 
 
-def _support_discriminant(gamma: float, u: float, v: float) -> tuple[float, float, float]:
+def _support_discriminant(gamma: float, u, v):
     # (u, d, w2) in the frame reflected to gamma >= 0, where a negative angle
     # maps (gamma, u, v) to (-gamma, -u, v).  d = 1 - sin(gamma) enters as
     # cos^2(gamma)/(1 + sin(gamma)), which stays right where sin(gamma)

@@ -2,11 +2,12 @@ import csv
 import io
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from ballcopulas import CircularCopula
+from ballcopulas import model_from_name
 from ballcopulas.cli import CliConfigError, GridSpec, main
 
 
@@ -193,6 +194,70 @@ def test_sample_determinism_and_metadata(tmp_path, capsys):
     assert meta == {"model": "circular", "seed": 42, "rng_algorithm": "PCG64", "n": 50}
 
 
+EVAL_CASES = [
+    pytest.param(
+        [] if text is None else [f"--gamma={text}"],
+        model_from_name(name, gamma),
+        quantity,
+        id=f"{name}-{quantity}" if text is None else f"{name}({text})-{quantity}",
+    )
+    for name, text, gamma in [
+        ("circular", None, None),
+        ("spherical", None, None),
+        ("elliptical", "-pi/8", -math.pi / 8),
+        ("elliptical", "1.5707963", 1.5707963),
+        ("nonlinear", None, None),
+    ]
+    for quantity in ("pdf", "cdf", "survival")
+    if not (name == "spherical" and quantity == "pdf")
+]
+
+
+def reference_eval(model, quantity, n, fmt):
+    """The output of a per-point loop over the grid, x slowest."""
+    coords = ("x", "y", "z")[: model.dim]
+    fn = getattr(model, quantity)
+    rows = [(*p, fn(*p)) for p in product(*GridSpec(axis_points=n).axes(model.dim))]
+    if fmt == "csv":
+        lines = [",".join(coords) + ",value"]
+        lines.extend(",".join(repr(float(t)) for t in row) for row in rows)
+        return "\n".join(lines) + "\n"
+    records = [{**dict(zip(coords, row[:-1])), "value": row[-1]} for row in rows]
+    return json.dumps(records, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 21])
+@pytest.mark.parametrize("flags, model, quantity", EVAL_CASES)
+def test_eval_bytes_equal_per_point_reference(tmp_path, capsys, flags, model, quantity, n):
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"grid.{fmt}"
+        code, _, _ = run(
+            ["eval", "--model", model.name, *flags, "--quantity", quantity, "--grid", str(n),
+             "--format", fmt, "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert out.read_text() == reference_eval(model, quantity, n, fmt)
+    if n == 21:
+        # The middle grid line is an exact 0.0.
+        assert 0.0 in GridSpec(axis_points=n).axes(1)[0]
+
+
+@pytest.mark.parametrize("name", ["circular", "spherical", "elliptical", "nonlinear"])
+def test_sample_csv_equals_per_row_reference(tmp_path, capsys, name):
+    flags = ["--model", name] + (["--gamma", "pi/4"] if name == "elliptical" else [])
+    out = tmp_path / "s.csv"
+    code, _, _ = run(
+        ["sample", *flags, "--n", "500", "--seed", "321", "--out", str(out), "--no-timestamp"],
+        capsys,
+    )
+    assert code == 0
+    model = model_from_name(name, math.pi / 4 if name == "elliptical" else None)
+    lines = [",".join(("x", "y", "z")[: model.dim])]
+    lines.extend(",".join(repr(float(t)) for t in row) for row in model.sample(500, 321).points)
+    assert out.read_text() == "\n".join(lines) + "\n"
+
+
 def test_sample_values_round_trip(tmp_path, capsys):
     out = tmp_path / "sph.csv"
     run(["sample", "--model", "spherical", "--n", "200", "--seed", "9",
@@ -276,6 +341,14 @@ def test_verify_rejects_too_few_samples_or_rectangles(capsys):
     assert "rectangle" in err
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+def test_verify_rejects_non_finite_tol_scale(capsys, scale):
+    code, out, err = run(["verify", "--seed", "7", f"--tol-scale={scale}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "tol_scale must be finite" in err
+
+
 def test_unwritable_out_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing" / "x.csv"
     code, _, err = run(
@@ -312,10 +385,10 @@ def test_eval_elliptical_near_right_angle(capsys):
 
 
 def test_internal_error_exit_4(monkeypatch, capsys):
-    def boom(self, x, y):
+    def boom(model, quantity, *coords):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(CircularCopula, "cdf", boom)
+    monkeypatch.setattr("ballcopulas.cli.evaluate", boom)
     code, out, err = run(
         ["eval", "--model", "circular", "--quantity", "cdf", "--grid", "3"], capsys
     )

@@ -1,0 +1,193 @@
+"""The array entry point ``evaluate`` and the array corner sum against the
+scalar closed forms, bit for bit."""
+
+import math
+from functools import partial
+from itertools import product
+
+import numpy as np
+import pytest
+
+from ballcopulas import (
+    CircularCopula,
+    DomainError,
+    EllipticalCopula,
+    NonlinearDiskCopula,
+    NotAbsolutelyContinuousError,
+    Rectangle,
+    SphericalCopula,
+    cdf_volume,
+    evaluate,
+)
+from ballcopulas.copulas import _corner_sum, _max_exact, _min_exact, _sign_exact, _sorted_exact
+from ballcopulas.oracle import _first_min
+from ballcopulas.special_math import sigma
+
+HALF_PI = 0.5 * math.pi
+GAMMAS = [0.0, math.pi / 8, -math.pi / 4, 1.5707963, -1.5707963, HALF_PI - 1e-12, -(HALF_PI - 1e-12)]
+MODELS = [
+    CircularCopula(),
+    SphericalCopula(),
+    NonlinearDiskCopula(),
+    *(EllipticalCopula(g) for g in GAMMAS),
+]
+CASES = [
+    (m, q) for m in MODELS for q in ("pdf", "cdf", "survival") if not (m.dim == 3 and q == "pdf")
+]
+SPECIAL = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]
+
+
+def case_id(case):
+    model, quantity = case
+    return f"{model.describe()}-{quantity}"
+
+
+def assert_bits(model, quantity, columns):
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    got = evaluate(model, quantity, *columns)
+    fn = getattr(model, quantity)
+    want = np.array([fn(*p) for p in zip(*(c.tolist() for c in columns))])
+    assert got.dtype == np.float64 and got.shape == want.shape
+    # Compared as bit patterns, so 0.0 and -0.0 differ.
+    wrong = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert wrong.size == 0, [
+        (tuple(float(c[i]) for c in columns), float(got[i]), float(want[i])) for i in wrong[:5]
+    ]
+
+
+def near(values):
+    """Each value and its neighbours one ulp either side, kept in [-1, 1]."""
+    values = np.asarray(values, dtype=float)
+    out = np.concatenate([values, np.nextafter(values, -2.0), np.nextafter(values, 2.0)])
+    return np.clip(out, -1.0, 1.0)
+
+
+def planar_points(gamma):
+    grid = np.linspace(-1.0, 1.0, 41)
+    points = [np.array(p) for p in product(grid, grid)]
+    points += [np.array(p) for p in product(SPECIAL, SPECIAL)]
+    # The boundary of the support, (cos t, sin(t + gamma)), and one ulp on
+    # either side of it in each coordinate.
+    t = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
+    u, v = np.cos(t), np.sin(t + gamma)
+    points += [np.array(p) for p in product(near(u[:1]), near(v[:1]))]
+    us, vs = near(u), near(v)
+    points += list(np.column_stack((np.tile(us[:400], 3), vs)))
+    points += list(np.column_stack((us, np.tile(vs[:400], 3))))
+    rng = np.random.default_rng(5)
+    points += list(rng.uniform(-1.0, 1.0, (2000, 2)))
+    return np.array(points).T
+
+
+def spatial_points():
+    grid = np.linspace(-1.0, 1.0, 13)
+    points = [np.array(p) for p in product(grid, grid, grid)]
+    points += [np.array(p) for p in product(SPECIAL, SPECIAL, SPECIAL)]
+    # The sphere one ulp either side, in every orthant.
+    rng = np.random.default_rng(6)
+    for signs in product((-1.0, 1.0), repeat=3):
+        d = np.abs(rng.normal(size=(100, 3)))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        d *= signs
+        points += list(np.clip(d, -1.0, 1.0))
+        points += list(np.clip(np.nextafter(d, 0.0), -1.0, 1.0))
+        points += list(np.clip(np.nextafter(d, 2.0 * d), -1.0, 1.0))
+        points += list(np.abs(rng.uniform(-1.0, 1.0, (200, 3))) * signs)
+    return np.array(points).T
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_evaluate_bitwise_equal_to_scalar(case):
+    model, quantity = case
+    if model.dim == 2:
+        columns = planar_points(getattr(model, "gamma", 0.0))
+    else:
+        columns = spatial_points()
+    assert_bits(model, quantity, columns)
+
+
+def test_spherical_survival_every_orthant():
+    # Each orthant is assembled differently: the first one from the closed
+    # tail, the others by inclusion-exclusion through the CDF.
+    model = SphericalCopula()
+    rng = np.random.default_rng(7)
+    base = rng.uniform(0.0, 1.0, (300, 3))
+    for signs in product((-1.0, 1.0), repeat=3):
+        assert_bits(model, "survival", (base * signs).T)
+
+
+def test_evaluate_across_slabs_and_shapes():
+    model = EllipticalCopula(-math.pi / 8)
+    rng = np.random.default_rng(8)
+    x = rng.uniform(-1.0, 1.0, 9001)
+    y = rng.uniform(-1.0, 1.0, 9001)
+    assert_bits(model, "cdf", [x, y])
+    grid = evaluate(model, "cdf", x[:7, None], y[None, :5])
+    assert grid.shape == (7, 5)
+    assert grid[3, 4] == model.cdf(float(x[3]), float(y[4]))
+    assert evaluate(model, "pdf", [], []).shape == (0,)
+    assert evaluate(model, "survival", 0.25, -0.5) == model.survival(0.25, -0.5)
+
+
+def test_evaluate_validation():
+    with pytest.raises(DomainError):
+        evaluate(CircularCopula(), "cdf", [0.0, 1.5], [0.0, 0.0])
+    with pytest.raises(DomainError):
+        evaluate(CircularCopula(), "cdf", [math.nan], [0.0])
+    with pytest.raises(DomainError):
+        evaluate(CircularCopula(), "cdf", [0.0], [0.0], [0.0])
+    with pytest.raises(DomainError):
+        evaluate(CircularCopula(), "quantile", [0.0], [0.0])
+    with pytest.raises(NotAbsolutelyContinuousError):
+        evaluate(SphericalCopula(), "pdf", [0.0], [0.0], [0.0])
+
+
+def test_elementwise_primitives_match_python():
+    # The array primitives must break ties between 0.0 and -0.0 as max, min
+    # and the integer sigma do.
+    values = [0.0, -0.0, 0.5, -0.5, 1.0]
+    for a, b in product(values, values):
+        assert np.float64(_max_exact(a, np.array([b]))[0]).tobytes() == np.float64(max(a, b)).tobytes()
+        assert np.float64(_min_exact(a, np.array([b]))[0]).tobytes() == np.float64(min(a, b)).tobytes()
+    for x, y, z in product(values, repeat=3):
+        for t in (0.25, -0.25, 0.0, -0.0):
+            got = _sign_exact(np.array([x])) * _sign_exact(np.array([y])) * _sign_exact(np.array([z])) * t
+            want = sigma(x) * sigma(y) * sigma(z) * t
+            assert got.tobytes() == np.array([want]).tobytes()
+
+
+def test_sorted_exact_is_stable_like_sorted():
+    # 0.0 and -0.0 compare equal, so only a stable sort keeps their order as
+    # sorted() does, and that order fixes the signs of zero alpha sees.
+    triples = list(product([-0.0, 0.0, 0.5, -0.5], repeat=3))
+    got = np.column_stack(_sorted_exact(tuple(np.array(c) for c in zip(*triples))))
+    want = np.array([sorted(t) for t in triples])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.0, -0.0], [-0.0, 0.0], [1.0, 0.0, -0.0, 2.0], [1.0, -0.0, 0.0, 2.0], [0.3, -1e-17, 0.1]],
+)
+def test_first_min_keeps_python_choice(values):
+    got = _first_min(np.array(values))
+    want = min(values)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.describe())
+def test_array_corner_sum_equals_cdf_volume(model):
+    rng = np.random.default_rng(9)
+    a = rng.uniform(-1.0, 1.0, (400, model.dim))
+    b = rng.uniform(-1.0, 1.0, (400, model.dim))
+    lows, highs = np.minimum(a, b), np.maximum(a, b)
+    # Degenerate rectangles: one side of zero width, all sides, and the
+    # whole cube.
+    highs[::5, 0] = lows[::5, 0]
+    highs[::7] = lows[::7]
+    lows[3], highs[3] = -1.0, 1.0
+    got = _corner_sum(partial(evaluate, model, "cdf"), lows.T, highs.T)
+    want = np.array(
+        [cdf_volume(model, Rectangle(tuple(lo), tuple(hi))) for lo, hi in zip(lows, highs)]
+    )
+    assert got.tobytes() == want.tobytes()

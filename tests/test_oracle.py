@@ -297,6 +297,9 @@ def test_verify_config_validation():
         VerifyConfig(n_samples=10)
     with pytest.raises(DomainError):
         VerifyConfig(tol_scale=-1.0)
+    for scale in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            VerifyConfig(tol_scale=scale)
     with pytest.raises(DomainError):
         VerifyConfig(rect_count=0)
     with pytest.raises(DomainError):
