@@ -4,7 +4,8 @@ Every model is an immutable value with a ``dim``, a ``name``, and the
 operations ``pdf`` (where a Lebesgue density exists), ``cdf``, ``survival``,
 ``in_support`` and ``sample``.  All CDFs are genuine copulas on the centered
 cube ``[-1, 1]^dim``: uniform[-1, 1] marginals and nonnegative rectangle
-mass.
+mass.  Every model is unchanged by the joint sign change ``p -> -p``, so
+each ``survival`` is the model's CDF at the reflected point.
 
 Models
 ------
@@ -170,12 +171,10 @@ def _spherical_sum(x, y, z, delta3=_delta3):
     return (1.0 + x + y + z) / 8.0 + delta3(x, y, z) / 2.0
 
 
-def _octant_tail(x, y, z, delta3=_delta3):
-    return (1.0 - x - y - z) / 8.0 + delta3(x, y, z) / 2.0
-
-
 def _outside_correction(x, y, z, delta3=_delta3, absolute=abs, sign=sigma):
-    tail = _octant_tail(absolute(x), absolute(y), absolute(z), delta3)
+    # The first-octant tail at (|x|, |y|, |z|), which is the sum at the
+    # reflected point since delta3 is even.
+    tail = _spherical_sum(-absolute(x), -absolute(y), -absolute(z), delta3)
     return sign(x) * sign(y) * sign(z) * tail
 
 
@@ -183,10 +182,9 @@ def spherical_survival(x: float, y: float, z: float) -> float:
     """First-octant tail probability ``P[X > x, Y > y, Z > z]``.
 
     Closed form ``(1 - x - y - z)/8 + delta3(x, y, z)/2`` for
-    ``x^2 + y^2 + z^2 < 1`` and 0 otherwise.  Only the first octant is
-    covered here; queries with negative coordinates go through
-    :meth:`SphericalCopula.survival`, which assembles them from the CDF by
-    inclusion-exclusion.
+    ``x^2 + y^2 + z^2 < 1``, computed as ``spherical_cdf(-x, -y, -z)``, and
+    exactly 0 on and outside the sphere.  Only the first octant is covered
+    here; :meth:`SphericalCopula.survival` takes every point of the cube.
     """
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 and 0.0 <= z <= 1.0):
         raise DomainError(
@@ -194,22 +192,7 @@ def spherical_survival(x: float, y: float, z: float) -> float:
         )
     if x * x + y * y + z * z >= 1.0:
         return 0.0
-    return _clamp01(_octant_tail(x, y, z))
-
-
-def _spherical_inclusion_exclusion(x, y, z, pair_cdf, joint_cdf):
-    # P[X > x, Y > y, Z > z] from the marginals, the pairwise (circular) CDFs
-    # and the joint CDF, unclamped; the CDFs are passed in, scalar or array.
-    return (
-        1.0
-        - (x + 1.0) / 2.0
-        - (y + 1.0) / 2.0
-        - (z + 1.0) / 2.0
-        + pair_cdf(x, y)
-        + pair_cdf(x, z)
-        + pair_cdf(y, z)
-        - joint_cdf(x, y, z)
-    )
+    return spherical_cdf(-x, -y, -z)
 
 
 def elliptical_pdf(gamma: float, u: float, v: float) -> float:
@@ -412,9 +395,6 @@ class CircularCopula(CopulaModel):
     def _cdf_array(self, x, y):
         return _circular_cdf_array(x, y)
 
-    def _survival_array(self, x, y):
-        return _circular_cdf_array(-x, -y)
-
     def in_support(self, x: float, y: float, tol: float = 1e-12) -> bool:
         return x * x + y * y <= 1.0 + tol
 
@@ -433,6 +413,9 @@ class SphericalCopula(CopulaModel):
     ``E(Z_i^2) = 1/3`` while spherical symmetry on the ball gives
     ``E(Z_i^2) = E(R^2) * E(U_i^2) <= 1/d < 1/3``.  Construction with
     ``dim >= 4`` therefore raises :class:`DimensionError`.
+
+    The law is unchanged by the joint sign change, so ``survival`` is
+    ``spherical_cdf(-x, -y, -z)`` on all of ``[-1, 1]^3``.
     """
 
     dim: int = 3
@@ -462,23 +445,12 @@ class SphericalCopula(CopulaModel):
         return spherical_cdf(x, y, z)
 
     def survival(self, x: float, y: float, z: float) -> float:
-        """Tail probability on all of ``[-1, 1]^3``.
-
-        Uses the closed first-octant form where it applies and assembles
-        every other orthant from the CDF by inclusion-exclusion.
-        """
-        _check_cube3(x, y, z, "survival")
-        if x >= 0.0 and y >= 0.0 and z >= 0.0:
-            return spherical_survival(x, y, z)
-        return _clamp01(_spherical_inclusion_exclusion(x, y, z, circular_cdf, spherical_cdf))
+        return spherical_cdf(-x, -y, -z)
 
     _pdf_array = pdf
 
     def _cdf_array(self, x, y, z):
         return _spherical_cdf_array(x, y, z)
-
-    def _survival_array(self, x, y, z):
-        return _spherical_survival_array(x, y, z)
 
     def in_support(self, x: float, y: float, z: float, tol: float = 1e-12) -> bool:
         return abs(x * x + y * y + z * z - 1.0) <= tol
@@ -523,9 +495,6 @@ class EllipticalCopula(CopulaModel):
     def _cdf_array(self, u, v):
         return _elliptical_cdf_array(self.gamma, u, v)
 
-    def _survival_array(self, u, v):
-        return _elliptical_cdf_array(self.gamma, -u, -v)
-
     def correlation(self) -> float:
         return elliptical_correlation(self.gamma)
 
@@ -566,9 +535,6 @@ class NonlinearDiskCopula(CopulaModel):
 
     def _cdf_array(self, u, v):
         return _nonlinear_cdf_array(u, v)
-
-    def _survival_array(self, u, v):
-        return _nonlinear_cdf_array(-u, -v)
 
     def in_support(self, u: float, v: float, tol: float = 1e-12) -> bool:
         return abs(u) <= 1.0 + tol and abs(v) <= 1.0 + tol
@@ -688,9 +654,10 @@ def evaluate(model: CopulaModel, quantity: str, *coords) -> np.ndarray:
     ``sqrt`` round exactly as Python floats do), ``max``, ``min`` and
     ``sorted`` keep Python's choice between 0.0 and -0.0, and each ``atan2``
     goes through ``math.atan2``, since ``np.arctan2`` can differ from it in
-    the last bit.  A point outside the cube raises :class:`DomainError`, and
-    the spherical density raises :class:`NotAbsolutelyContinuousError` as
-    the scalar method does.
+    the last bit.  Survival is the CDF kernel at the reflected point, as in
+    the scalar methods.  A point outside the cube raises
+    :class:`DomainError`, and the spherical density raises
+    :class:`NotAbsolutelyContinuousError` as the scalar method does.
     """
     if quantity not in ("pdf", "cdf", "survival"):
         raise DomainError(f"unknown quantity {quantity!r}")
@@ -704,12 +671,21 @@ def evaluate(model: CopulaModel, quantity: str, *coords) -> np.ndarray:
         i = int(np.argmax(outside))
         point = tuple(float(c[i]) for c in cols)
         raise DomainError(f"evaluate: point {point!r} outside [-1, 1]^{model.dim}")
-    kernel = getattr(model, f"_{quantity}_array")
+    if quantity == "survival":
+        kernel = partial(_reflected, model._cdf_array)
+    else:
+        kernel = getattr(model, f"_{quantity}_array")
     out = np.empty(outside.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, out.size, _SLAB):
             out[lo:lo + _SLAB] = kernel(*(c[lo:lo + _SLAB] for c in cols))
     return out.reshape(shape)
+
+
+def _reflected(cdf, *coords):
+    # Every model is unchanged by the joint sign change p -> -p, so
+    # P[X > p] = F(-p).  Negating one slab at a time makes no full-size copy.
+    return cdf(*(-c for c in coords))
 
 
 def _atan2_exact(a, w):
@@ -773,17 +749,3 @@ def _spherical_cdf_array(x, y, z):
     out = x * x + y * y + z * z >= 1.0
     val[out] += _outside_correction(x[out], y[out], z[out], _delta3_array, np.abs, _sign_exact)
     return _clamp01_array(val)
-
-
-def _spherical_survival_array(x, y, z):
-    out = np.zeros_like(x)
-    first = (x >= 0.0) & (y >= 0.0) & (z >= 0.0)
-    rest = ~first
-    out[rest] = _clamp01_array(
-        _spherical_inclusion_exclusion(
-            x[rest], y[rest], z[rest], _circular_cdf_array, _spherical_cdf_array
-        )
-    )
-    inside = first & (x * x + y * y + z * z < 1.0)
-    out[inside] = _clamp01_array(_octant_tail(x[inside], y[inside], z[inside], _delta3_array))
-    return out

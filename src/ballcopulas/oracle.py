@@ -48,7 +48,6 @@ from .copulas import (
     spherical_cdf,
     spherical_survival,
     _corner_sum,
-    _spherical_inclusion_exclusion,
 )
 from .errors import (
     DimensionError,
@@ -100,8 +99,8 @@ class QuadratureSpec:
     max_subdivisions: int = 1 << 20
 
     def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise DomainError("abs_tol must be positive")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
+            raise DomainError(f"abs_tol must be finite and positive, got {self.abs_tol!r}")
         if self.max_subdivisions < 4:
             raise DomainError("max_subdivisions must be at least 4")
 
@@ -180,24 +179,17 @@ def quad_survival_circular(
     """Tail probability of the circular model by 1-D quadrature.
 
     Evaluates ``(1/(2*pi)) * integral_x^{sqrt(1-y^2)} [pi/2 -
-    arcsin(y/sqrt(1-s^2))] ds`` for ``0 <= x, y`` with ``x^2 + y^2 < 1``.
-    Independent of the closed form, so it serves as its oracle.
+    arcsin(y/sqrt(1-s^2))] ds`` for ``0 <= x, y`` with ``x^2 + y^2 < 1``:
+    twice the spherical tail integral at ``z = 0``, since the ``(X, Y)``
+    margin of the uniform sphere is the circular law.  Independent of the
+    closed form, so it serves as its oracle.
     """
     spec = spec or DEFAULT_QUADRATURE
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise DomainError(f"quad_survival_circular: ({x!r}, {y!r}) outside [0, 1]^2")
     if not x * x + y * y < 1.0:
         raise DomainError("quad_survival_circular requires x^2 + y^2 < 1")
-    hi = math.sqrt(1.0 - y * y) - _ENDPOINT_PULL
-    if hi <= x:
-        return 0.0
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, float)
-        arg = np.clip(y / np.sqrt(1.0 - s * s), -1.0, 1.0)
-        return 0.5 * np.pi - np.arcsin(arg)
-
-    return integrate_adaptive(integrand, x, hi, spec) / _TWO_PI
+    return 2.0 * _quad_survival_spherical_one(x, y, 0.0, spec)
 
 
 def _quad_survival_spherical_one(
@@ -252,18 +244,6 @@ def quad_survival_spherical(
 # ---------------------------------------------------------------------------
 # density mass over rectangles
 # ---------------------------------------------------------------------------
-
-def _inner_mass_circular(t_lo: float, t_hi: float):
-    def inner(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, float)
-        w = np.sqrt(np.maximum(1.0 - s * s, 0.0))
-        wsafe = np.maximum(w, 1e-300)
-        hi = np.clip(t_hi / wsafe, -1.0, 1.0)
-        lo = np.clip(t_lo / wsafe, -1.0, 1.0)
-        return (np.arcsin(hi) - np.arcsin(lo)) / _TWO_PI
-
-    return inner
-
 
 def _inner_mass_elliptical(gamma: float, t_lo: float, t_hi: float):
     sg = math.sin(gamma)
@@ -354,12 +334,11 @@ def quad_mass_2d(
     t_lo, t_hi = rect.lower[1], rect.upper[1]
     if s_hi <= s_lo or t_hi <= t_lo:
         return 0.0
-    if isinstance(model, CircularCopula):
-        inner = _inner_mass_circular(t_lo, t_hi)
-        cuts = _split_at_support_edge(0.0, t_lo, t_hi, s_lo, s_hi)
-    elif isinstance(model, EllipticalCopula):
-        inner = _inner_mass_elliptical(model.gamma, t_lo, t_hi)
-        cuts = _split_at_support_edge(model.gamma, t_lo, t_hi, s_lo, s_hi)
+    if isinstance(model, (CircularCopula, EllipticalCopula)):
+        # The circular model is the sheared one at gamma = 0.
+        gamma = getattr(model, "gamma", 0.0)
+        inner = _inner_mass_elliptical(gamma, t_lo, t_hi)
+        cuts = _split_at_support_edge(gamma, t_lo, t_hi, s_lo, s_hi)
     elif isinstance(model, NonlinearDiskCopula):
         inner = _inner_mass_nonlinear(t_lo, t_hi)
         cuts = [s_lo, s_hi]
@@ -403,7 +382,7 @@ def mc_cdf(model: CopulaModel, p: tuple[float, ...], n: int, seed: int) -> MCEst
     point = tuple(float(t) for t in p)
     if len(point) != model.dim:
         raise DomainError("point dimension does not match the model")
-    if any(abs(t) > 1.0 for t in point):
+    if any(not abs(t) <= 1.0 for t in point):
         raise DomainError(f"mc_cdf: point {point!r} outside the centered cube")
     batch = model.sample(n, seed)
     q = float(np.mean(np.all(batch.points <= np.asarray(point), axis=1)))
@@ -545,6 +524,21 @@ def _rng(cfg: VerifyConfig, index: int) -> np.random.Generator:
 
 def _max_gap(pairs: Iterable[tuple[float, float]]) -> float:
     return max((abs(f - g) for f, g in pairs), default=0.0)
+
+
+def _spherical_inclusion_exclusion(x: float, y: float, z: float) -> float:
+    # P[X > x, Y > y, Z > z] of the spherical model from the marginals, the
+    # pairwise (circular) CDFs and the joint CDF, unclamped.
+    return (
+        1.0
+        - (x + 1.0) / 2.0
+        - (y + 1.0) / 2.0
+        - (z + 1.0) / 2.0
+        + circular_cdf(x, y)
+        + circular_cdf(x, z)
+        + circular_cdf(y, z)
+        - spherical_cdf(x, y, z)
+    )
 
 
 def _first_min(values: np.ndarray) -> float:
@@ -709,15 +703,17 @@ def _model_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tupl
     rng = _rng(cfg, 5)
     octant = [rng.uniform(0.0, 0.57, 3) for _ in range(100)]
     gap = _max_gap(
-        (spherical_survival(*p), _spherical_inclusion_exclusion(*p, circular_cdf, spherical_cdf))
-        for p in octant
+        (spherical_survival(*p), _spherical_inclusion_exclusion(*p)) for p in octant
     )
     where = "100 first-octant points"
     yield "spherical_survival_inclusion_exclusion", "spherical", where, gap, 0.0, 1e-12
 
-    rng = _rng(cfg, 6)
-    polar = [(math.sqrt(rng.uniform(0.0, 0.999)), rng.uniform(0.0, _TWO_PI)) for _ in range(10**4)]
-    disk = [(r * math.cos(t), r * math.sin(t)) for r, t in polar]
+    # One draw of 10^4 pairs is the stream of 2 * 10^4 scalar draws, in the
+    # same order: rng.uniform(0, h) is h * rng.random().
+    u = _rng(cfg, 6).random((10**4, 2))
+    radius = np.sqrt(0.999 * u[:, 0]).tolist()
+    angle = (_TWO_PI * u[:, 1]).tolist()
+    disk = [(r * math.cos(t), r * math.sin(t)) for r, t in zip(radius, angle)]
     gap = _max_gap(
         pair for p in disk for pair in zip(nonlinear_inverse(*nonlinear_forward(*p)), p)
     )

@@ -156,7 +156,7 @@ def delta3(x: float, y: float, z: float) -> float:
 
     The arguments are sorted before pairing, so all six permutations of
     ``(x, y, z)`` return bit-identical values while the summation order
-    stays fixed.
+    stays fixed, and ``delta3(-x, -y, -z) == delta3(x, y, z)`` bit for bit.
     """
     _check_cube3(x, y, z, "delta3")
     return _delta3(x, y, z)
@@ -164,9 +164,12 @@ def delta3(x: float, y: float, z: float) -> float:
 
 def _delta3(x, y, z, alpha=_alpha, sort=sorted):
     # ``sort`` must be stable, as ``sorted`` is: 0.0 and -0.0 compare equal,
-    # and their order decides the signs of zero that alpha sees.
+    # and their order decides the signs of zero that alpha sees.  Negating
+    # all three arguments reverses the sorted order, which swaps the pairs
+    # (a, b) and (b, c) and keeps (a, c); alpha(-p, -q) == alpha(p, q), so
+    # summing the swapped pair first makes delta3 even bit for bit.
     a, b, c = sort((x, y, z))
-    return alpha(a, b) + alpha(a, c) + alpha(b, c)
+    return alpha(a, c) + (alpha(a, b) + alpha(b, c))
 
 
 def alpha_gamma(gamma: float, u: float, v: float) -> float:

@@ -349,6 +349,14 @@ def test_verify_rejects_non_finite_tol_scale(capsys, scale):
     assert "tol_scale must be finite" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_verify_rejects_non_finite_abs_tol(capsys, tol):
+    code, out, err = run(["verify", "--seed", "7", f"--abs-tol={tol}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "abs_tol must be finite" in err
+
+
 def test_unwritable_out_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing" / "x.csv"
     code, _, err = run(

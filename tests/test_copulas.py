@@ -22,6 +22,7 @@ from ballcopulas import (
     elliptical_cdf,
     elliptical_correlation,
     elliptical_pdf,
+    evaluate,
     ks_uniform,
     marginal_pdf_circle,
     marginal_pdf_disk,
@@ -156,10 +157,27 @@ def test_spherical_model_survival_all_orthants():
             - spherical_cdf(x, y, z)
         )
         assert abs(sph.survival(x, y, z) - assembled) <= 1e-12
-    # sign symmetry: P[X > x, Y > y, Z > z] = F(-x, -y, -z)
+        assert spherical_survival(x, y, z) == sph.survival(x, y, z)
+    # sign symmetry: P[X > x, Y > y, Z > z] = F(-x, -y, -z), bit for bit
     for _ in range(200):
         x, y, z = rng.uniform(-1.0, 1.0, 3)
-        assert abs(sph.survival(x, y, z) - spherical_cdf(-x, -y, -z)) <= 1e-12
+        assert sph.survival(x, y, z) == spherical_cdf(-x, -y, -z)
+
+
+def test_spherical_survival_exact_zero_outside_ball():
+    # With every coordinate positive, the tail beyond the sphere is +0.0
+    # exactly, through the scalar forms and through evaluate.
+    sph = SphericalCopula()
+    rng = np.random.default_rng(9)
+    d = np.abs(rng.normal(size=(500, 3))) + 1e-3
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    points = np.concatenate([d, np.clip(d * rng.uniform(1.0, 1.7, (500, 1)), 0.0, 1.0)])
+    points = points[np.all(points > 0.0, axis=1) & (np.sum(points * points, axis=1) >= 1.0)]
+    assert len(points) > 800
+    scalar = [f(*p) for p in points.tolist() for f in (sph.survival, spherical_survival)]
+    values = np.concatenate([evaluate(sph, "survival", *points.T), scalar])
+    # Compared as bit patterns, so -0.0 fails.
+    assert np.all(values.view(np.int64) == 0)
 
 
 def test_spherical_dimension_guard():

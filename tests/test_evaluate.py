@@ -107,8 +107,7 @@ def test_evaluate_bitwise_equal_to_scalar(case):
 
 
 def test_spherical_survival_every_orthant():
-    # Each orthant is assembled differently: the first one from the closed
-    # tail, the others by inclusion-exclusion through the CDF.
+    # Every orthant, each reflected into a different orthant of the CDF.
     model = SphericalCopula()
     rng = np.random.default_rng(7)
     base = rng.uniform(0.0, 1.0, (300, 3))

@@ -41,6 +41,9 @@ def test_quadrature_spec_validation():
     QuadratureSpec()
     with pytest.raises(DomainError):
         QuadratureSpec(abs_tol=0.0)
+    for bad in (math.inf, math.nan, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            QuadratureSpec(abs_tol=bad)
     with pytest.raises(DomainError):
         QuadratureSpec(max_subdivisions=1)
 
@@ -193,6 +196,8 @@ def test_mc_cdf_validation():
         mc_cdf(CircularCopula(), (0.0, 0.0, 0.0), 1000, 1)
     with pytest.raises(DomainError):
         mc_cdf(CircularCopula(), (2.0, 0.0), 1000, 1)
+    with pytest.raises(DomainError):
+        mc_cdf(CircularCopula(), (math.nan, 0.0), 1000, 1)
 
 
 def test_ks_uniform_exact_quantiles():

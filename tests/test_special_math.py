@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -116,6 +116,25 @@ def test_delta3_permutation_bit_identical():
         base = delta3(x, y, z)
         for perm in permutations((x, y, z)):
             assert delta3(*perm) == base
+
+
+def test_delta3_even_bit_identical():
+    # delta3(-x, -y, -z) == delta3(x, y, z) to the bit, signs of zero
+    # included: on the sign pattern grid, on the sphere, and at random.
+    def bits(t):
+        return np.float64(t).view(np.int64)
+
+    special = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]
+    rng = np.random.default_rng(12)
+    sphere = rng.normal(size=(200, 3))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    triples = [
+        *product(special, special, special),
+        *np.clip(sphere, -1.0, 1.0).tolist(),
+        *rng.uniform(-1.0, 1.0, (2000, 3)).tolist(),
+    ]
+    for x, y, z in triples:
+        assert bits(delta3(-x, -y, -z)) == bits(delta3(x, y, z)), (x, y, z)
 
 
 def test_delta3_propagates_domain_errors():
