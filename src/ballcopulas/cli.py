@@ -50,10 +50,10 @@ class CliConfigError(Exception):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Regular evaluation grid: points per axis, per-axis bounds, quantity."""
+    """Regular evaluation grid on ``[-1, 1]`` per axis: points per axis and
+    quantity."""
 
     axis_points: int = 101
-    bounds: tuple[tuple[float, float], ...] | None = None
     quantity: str = "cdf"
 
     def __post_init__(self) -> None:
@@ -61,21 +61,10 @@ class GridSpec:
             raise CliConfigError("grid needs at least 2 points per axis")
         if self.quantity not in ("pdf", "cdf", "survival"):
             raise CliConfigError(f"unknown quantity {self.quantity!r}")
-        if self.bounds is not None:
-            for lo, hi in self.bounds:
-                if not (-1.0 <= lo < hi <= 1.0):
-                    raise CliConfigError(
-                        f"grid bounds must satisfy -1 <= lo < hi <= 1, got ({lo}, {hi})"
-                    )
 
     def axes(self, dim: int) -> list[list[float]]:
-        bounds = self.bounds or ((-1.0, 1.0),) * dim
-        if len(bounds) != dim:
-            raise CliConfigError(f"expected {dim} bound pairs, got {len(bounds)}")
-        return [
-            [lo + (hi - lo) * i / (self.axis_points - 1) for i in range(self.axis_points)]
-            for lo, hi in bounds
-        ]
+        n = self.axis_points - 1
+        return [[-1.0 + 2.0 * i / n for i in range(n + 1)] for _ in range(dim)]
 
 
 def _parse_gamma(text: str) -> float:
@@ -109,6 +98,22 @@ def _csv(header: str, rows) -> str:
     return "\n".join(chain((header,), map(",".join, rows))) + "\n"
 
 
+def _reprs(values: np.ndarray) -> list[str]:
+    # list(map(repr, values.tolist())) with repr taken once per distinct bit
+    # pattern, so that 0.0 and -0.0 stay apart: a stable argsort groups
+    # equal keys, and each group's string is scattered back to its rows.
+    bits = values.view(np.int64)
+    order = np.argsort(bits, kind="stable")
+    ranked = bits[order]
+    first = np.empty(ranked.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    texts = np.array(list(map(repr, values[order[first]].tolist())), dtype=object)
+    out = np.empty(values.size, dtype=object)
+    out[order] = texts[np.cumsum(first) - 1]
+    return out.tolist()
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -134,17 +139,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     axes = grid.axes(model.dim)
     # Row-major over the grid: x varies slowest.
     mesh = np.meshgrid(*axes, indexing="ij")
-    values = evaluate(model, grid.quantity, *mesh).ravel().tolist()
+    values = evaluate(model, grid.quantity, *mesh).ravel()
 
     if args.format == "csv":
-        # Each axis coordinate is formatted once, not once per row.
+        # Each axis coordinate and each distinct value is formatted once,
+        # not once per row: a grid repeats many of its values (0 and 1, the
+        # mirror images of a symmetric model, and off the support values
+        # that depend on one coordinate only).
         labels = [list(map(repr, axis)) for axis in axes]
-        rows = zip(map(",".join, product(*labels)), map(repr, values))
+        rows = zip(map(",".join, product(*labels)), _reprs(values))
         _emit(_csv(",".join(coords) + ",value", rows), args.out)
     else:
         records = [
             {**dict(zip(coords, point)), "value": value}
-            for point, value in zip(product(*axes), values)
+            for point, value in zip(product(*axes), values.tolist())
         ]
         _emit(json.dumps(records, indent=2) + "\n", args.out)
     return EXIT_OK

@@ -85,6 +85,7 @@ __all__ = [
 RNG_ALGORITHM = "PCG64"
 
 _TWO_PI = 2.0 * math.pi
+_HALF_PI = 0.5 * math.pi
 _MAX_SEED = 2**64
 
 
@@ -654,8 +655,13 @@ def evaluate(model: CopulaModel, quantity: str, *coords) -> np.ndarray:
     ``sqrt`` round exactly as Python floats do), ``max``, ``min`` and
     ``sorted`` keep Python's choice between 0.0 and -0.0, and each ``atan2``
     goes through ``math.atan2``, since ``np.arctan2`` can differ from it in
-    the last bit.  Survival is the CDF kernel at the reflected point, as in
-    the scalar methods.  A point outside the cube raises
+    the last bit.  ``math.atan2`` runs only where its second argument
+    ``w`` is positive, inside the support: elsewhere ``w`` is +0.0 and
+    ``atan2(a, +0.0)`` is exactly ``copysign(pi/2, a)``, or ``a`` when it is
+    zero.  The spherical CDF evaluates each of its three pair ``alpha``
+    values once, where the scalar form evaluates them twice outside the
+    ball.  Survival is the CDF kernel at the reflected point, as in the
+    scalar methods.  A point outside the cube raises
     :class:`DomainError`, and the spherical density raises
     :class:`NotAbsolutelyContinuousError` as the scalar method does.
     """
@@ -689,7 +695,15 @@ def _reflected(cdf, *coords):
 
 
 def _atan2_exact(a, w):
-    return np.fromiter(map(math.atan2, a.tolist(), w.tolist()), float, a.size)
+    # w is a square root, never -0.0.  On and outside the support it is
+    # +0.0, where atan2(a, +0.0) is copysign(pi/2, a) for a finite, or a
+    # itself when a is +-0; math.atan2 runs only where w is positive.
+    out = np.where(a == 0.0, a, np.copysign(_HALF_PI, a))
+    inside = np.flatnonzero(w)
+    out[inside] = np.fromiter(
+        map(math.atan2, a[inside].tolist(), w[inside].tolist()), float, inside.size
+    )
+    return out
 
 
 def _max_exact(a, b):
@@ -702,8 +716,15 @@ def _min_exact(a, b):
     return np.where(b < a, b, a)
 
 
+def _stable_order(columns):
+    # Row by row, the argument positions in the order sorted() puts their
+    # values: a stable sort keeps 0.0 and -0.0, which compare equal, in
+    # argument order.
+    return np.argsort(np.column_stack(columns), axis=1, kind="stable")
+
+
 def _sorted_exact(columns):
-    return np.sort(np.stack(columns, axis=-1), axis=-1, kind="stable").T
+    return np.take_along_axis(np.column_stack(columns), _stable_order(columns), axis=1).T
 
 
 def _sign_exact(t):
@@ -713,7 +734,6 @@ def _sign_exact(t):
 _clamp01_array = partial(_clamp01, minimum=_min_exact, maximum=_max_exact)
 _alpha_array = partial(_alpha, sqrt=np.sqrt, maximum=_max_exact, atan2=_atan2_exact)
 _alpha_gamma_array = partial(_alpha_gamma, sqrt=np.sqrt, maximum=_max_exact, atan2=_atan2_exact)
-_delta3_array = partial(_delta3, alpha=_alpha_array, sort=_sorted_exact)
 
 
 def _sheared_pdf_array(gamma, u, v):
@@ -744,8 +764,25 @@ def _nonlinear_cdf_array(u, v):
     return np.where(_nonlinear_corners(u, v), upper, val)
 
 
+def _pair_delta3(pairs, *coords):
+    # delta3 from its three pair alphas, pairs[:, k] being alpha of the two
+    # coordinates other than k.  _delta3 pairs the sorted values (a, b, c);
+    # the stable order names the coordinate behind each, so the same alphas
+    # are summed in the same order.
+    bc, ac, ab = np.take_along_axis(pairs, _stable_order(coords), axis=1).T
+    return ac + (ab + bc)
+
+
 def _spherical_cdf_array(x, y, z):
-    val = _spherical_sum(x, y, z, _delta3_array)
+    # Each pair alpha once: outside the ball, delta3(-|x|, -|y|, -|z|) sums
+    # the same pairs up to sign, as alpha(-|p|, -|q|) == e_p*e_q*alpha(p, q)
+    # bit for bit with e = -1.0 for t < 0 and 1.0 otherwise (1.0 at a zero,
+    # unlike sigma).
+    pairs = np.column_stack((_alpha_array(y, z), _alpha_array(x, z), _alpha_array(x, y)))
+    val = _spherical_sum(x, y, z, partial(_pair_delta3, pairs))
     out = x * x + y * y + z * z >= 1.0
-    val[out] += _outside_correction(x[out], y[out], z[out], _delta3_array, np.abs, _sign_exact)
+    x, y, z, pairs = x[out], y[out], z[out], pairs[out]
+    ex, ey, ez = (np.where(t < 0.0, -1.0, 1.0) for t in (x, y, z))
+    pairs *= np.column_stack((ey * ez, ex * ez, ex * ey))
+    val[out] += _outside_correction(x, y, z, partial(_pair_delta3, pairs), np.abs, _sign_exact)
     return _clamp01_array(val)

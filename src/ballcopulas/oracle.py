@@ -101,8 +101,10 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise DomainError(f"abs_tol must be finite and positive, got {self.abs_tol!r}")
-        if self.max_subdivisions < 4:
-            raise DomainError("max_subdivisions must be at least 4")
+        # An integer type, so that NaN cannot slip past the panel cap.
+        m = self.max_subdivisions
+        if not (isinstance(m, (int, np.integer)) and m >= 4):
+            raise DomainError(f"max_subdivisions must be an integer of at least 4, got {m!r}")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -402,7 +404,8 @@ def ks_uniform(samples) -> float:
     arr = np.sort(np.asarray(samples, float))
     if arr.ndim != 1 or arr.shape[0] < 100:
         raise DomainError("ks_uniform requires at least 100 scalar samples")
-    if arr[0] < -1.0 or arr[-1] > 1.0:
+    # NaN sorts last, and fails every comparison.
+    if arr[0] < -1.0 or not arr[-1] <= 1.0:
         raise DomainError("ks_uniform samples must lie in [-1, 1]")
     return _ks_statistic(arr, (arr + 1.0) / 2.0)
 

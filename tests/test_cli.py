@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from ballcopulas import model_from_name
-from ballcopulas.cli import CliConfigError, GridSpec, main
+from ballcopulas.cli import CliConfigError, GridSpec, _reprs, main
 
 
 def run(argv, capsys):
@@ -19,15 +20,10 @@ def run(argv, capsys):
 
 def test_grid_spec():
     assert GridSpec(axis_points=3).axes(2) == [[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]]
-    assert GridSpec(axis_points=3, bounds=((0.0, 1.0),)).axes(1) == [[0.0, 0.5, 1.0]]
     with pytest.raises(CliConfigError):
         GridSpec(axis_points=1)
     with pytest.raises(CliConfigError):
-        GridSpec(bounds=((0.5, 0.2),))
-    with pytest.raises(CliConfigError):
         GridSpec(quantity="quantile")
-    with pytest.raises(CliConfigError):
-        GridSpec(bounds=((0.0, 1.0),)).axes(2)
 
 
 def test_eval_small_grid_csv(tmp_path, capsys):
@@ -241,6 +237,73 @@ def test_eval_bytes_equal_per_point_reference(tmp_path, capsys, flags, model, qu
     if n == 21:
         # The middle grid line is an exact 0.0.
         assert 0.0 in GridSpec(axis_points=n).axes(1)[0]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0, -0.0, 0.25, -0.0, 0.0, 0.25, 1.0, 0.0],
+        [0.1 * k - 1.0 for k in range(21)],
+        [0.3],
+        [],
+    ],
+    ids=["signed-zeros", "distinct", "single", "empty"],
+)
+def test_reprs_equals_repr_per_value(values):
+    got = _reprs(np.array(values, dtype=float))
+    assert got == list(map(repr, values))
+
+
+# sha256 of the eval CSV for the grid-eval benchmark ops and the 41^3
+# spherical CDF grid, pinned before the grid path was tuned: any change of
+# value, sign of zero or formatting shows here.
+GOLDEN_EVAL = [
+    pytest.param(
+        ["--model", "circular"], "cdf", 101,
+        "875ed0cf84ca3001dc33ef08399263612cc27c8f843bdee0442d7666d8c70ecf",
+        id="circular-cdf-101",
+    ),
+    pytest.param(
+        ["--model", "elliptical", "--gamma", "pi/4"], "pdf", 101,
+        "b6dc372363b99d023dbd55cf0997fac779f8b986d28a74991bb9ed4b4c22e735",
+        id="elliptical(pi/4)-pdf-101",
+    ),
+    pytest.param(
+        ["--model", "elliptical", "--gamma=-pi/8"], "cdf", 101,
+        "fc493ca3dbc47941d8f8126e9f1801197202fee44b3f4fa3efcbd263b9de8772",
+        id="elliptical(-pi/8)-cdf-101",
+    ),
+    pytest.param(
+        ["--model", "nonlinear"], "survival", 101,
+        "2a60eda2e18bc09a004b6df1bffd37c4e0cb0c991b48ff29daa54466bc65a629",
+        id="nonlinear-survival-101",
+    ),
+    pytest.param(
+        ["--model", "spherical"], "survival", 21,
+        "27eea1fab6f85fa8d165ed36c7e137ae3ab07ed49f5f89790a4340e3a57cf120",
+        id="spherical-survival-21",
+    ),
+    pytest.param(
+        ["--model", "elliptical", "--gamma", "1.5707963"], "cdf", 101,
+        "9b51861c73a97dbdde86af8811777601103c861c19dd474cf3113e5e355b4278",
+        id="elliptical(1.5707963)-cdf-101",
+    ),
+    pytest.param(
+        ["--model", "spherical"], "cdf", 41,
+        "704f378159d4a3e81b80a2f21a9ae0bcd3d6d8b39abc94eec44c46a1695f4255",
+        id="spherical-cdf-41",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, quantity, n, digest", GOLDEN_EVAL)
+def test_eval_csv_golden_sha256(tmp_path, capsys, flags, quantity, n, digest):
+    out = tmp_path / "grid.csv"
+    code, _, _ = run(
+        ["eval", *flags, "--quantity", quantity, "--grid", str(n), "--out", str(out)], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", ["circular", "spherical", "elliptical", "nonlinear"])

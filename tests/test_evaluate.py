@@ -20,6 +20,7 @@ from ballcopulas import (
     evaluate,
 )
 from ballcopulas.copulas import _corner_sum, _max_exact, _min_exact, _sign_exact, _sorted_exact
+from ballcopulas.copulas import _atan2_exact
 from ballcopulas.oracle import _first_min
 from ballcopulas.special_math import sigma
 
@@ -190,3 +191,48 @@ def test_array_corner_sum_equals_cdf_volume(model):
         [cdf_volume(model, Rectangle(tuple(lo), tuple(hi))) for lo, hi in zip(lows, highs)]
     )
     assert got.tobytes() == want.tobytes()
+
+
+def test_atan2_exact_matches_math_atan2_on_and_off_the_support():
+    # On and outside the support w is +0.0, where atan2 is not called.
+    tiny = [1e-300, -1e-300, 0.5, -0.5, 0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]
+    a = np.array(tiny)
+    got = _atan2_exact(a, np.zeros_like(a))
+    want = np.array([math.atan2(t, 0.0) for t in tiny])
+    assert got.tobytes() == want.tobytes()
+    # Mixed slabs: zeros interleaved with positive w, and no zero at all.
+    rng = np.random.default_rng(10)
+    a = rng.choice(np.array(tiny), 3000) * rng.uniform(0.0, 2.0, 3000)
+    w = np.where(rng.random(3000) < 0.5, 0.0, rng.uniform(0.0, 1.0, 3000))
+    w[::7] = 5e-324
+    for ws in (w, np.abs(w) + 0.25):
+        got = _atan2_exact(a, ws)
+        want = np.array([math.atan2(s, t) for s, t in zip(a.tolist(), ws.tolist())])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_spherical_outside_ball_equals_scalar():
+    # The array path reuses the three pair alphas outside the ball; the
+    # scalar path evaluates delta3 twice.  Points on the sphere, ties
+    # |x| == |y| with mixed signs, and +-0.0 in every position.
+    model = SphericalCopula()
+    rng = np.random.default_rng(11)
+    d = rng.normal(size=(500, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    points = list(np.clip(d, -1.0, 1.0))
+    for t, s in product([0.5, 0.6, 0.8, 1.0, 0.75], repeat=2):
+        for sx, sy, sz in product((-1.0, 1.0), repeat=3):
+            points.append((sx * t, sy * t, sz * s))
+            points.append((sx * t, sz * s, sy * t))
+            points.append((sz * s, sx * t, sy * t))
+    for k in range(3):
+        for zero in (0.0, -0.0):
+            for rest in product([1.0, -1.0, 0.8, -0.8, 0.6, -0.6, 0.0, -0.0], repeat=2):
+                p = list(rest)
+                p.insert(k, zero)
+                points.append(tuple(p))
+    columns = np.array(points, dtype=float).T
+    outside = (columns ** 2).sum(axis=0) >= 1.0
+    assert outside.mean() > 0.5
+    for quantity in ("cdf", "survival"):
+        assert_bits(model, quantity, columns)

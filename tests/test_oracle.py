@@ -46,6 +46,12 @@ def test_quadrature_spec_validation():
             QuadratureSpec(abs_tol=bad)
     with pytest.raises(DomainError):
         QuadratureSpec(max_subdivisions=1)
+    # NaN never trips the panel cap (evaluations > nan is False), and a
+    # float is not a panel count.
+    for bad in (math.nan, math.inf, 64.0, True, "64"):
+        with pytest.raises(DomainError, match="integer"):
+            QuadratureSpec(max_subdivisions=bad)
+    assert QuadratureSpec(max_subdivisions=np.int64(4)).max_subdivisions == 4
 
 
 def test_integrate_known_values():
@@ -222,6 +228,9 @@ def test_ks_uniform_validation():
         ks_uniform(np.zeros(50))
     with pytest.raises(DomainError):
         ks_uniform(np.linspace(-2.0, 1.0, 200))
+    # NaN sorts last and compares False with 1.0.
+    with pytest.raises(DomainError):
+        ks_uniform(np.append(np.linspace(-1.0, 1.0, 200), math.nan))
 
 
 def test_moment_check():
