@@ -49,6 +49,7 @@ from .special_math import (
     _check_gamma,
     _check_square,
     _delta3,
+    _pick,
     _support_discriminant,
 )
 
@@ -159,24 +160,32 @@ def spherical_cdf(x: float, y: float, z: float) -> float:
     ``(1 + x + y + z)/8 + delta3(x, y, z)/2`` inside the unit ball; on and
     outside the ball the sign-dependent correction
     ``sigma(x)*sigma(y)*sigma(z) * ((1 - |x| - |y| - |z|)/8
-    + delta3(|x|, |y|, |z|)/2)`` is added.
+    + delta3(|x|, |y|, |z|)/2)`` is added.  Both ``delta3`` terms are summed
+    from the same three pair alphas, ``alpha(|p|, |q|)`` being
+    ``sigma(p)*sigma(q)*alpha(p, q)``.
     """
     _check_cube3(x, y, z, "spherical_cdf")
-    val = _spherical_sum(x, y, z)
+    pairs = _alpha(y, z), _alpha(x, z), _alpha(x, y)
+    val = _spherical_sum(x, y, z, pairs)
     if x * x + y * y + z * z >= 1.0:
-        val += _outside_correction(x, y, z)
+        val += _outside_correction(x, y, z, pairs)
     return _clamp01(val)
 
 
-def _spherical_sum(x, y, z, delta3=_delta3):
-    return (1.0 + x + y + z) / 8.0 + delta3(x, y, z) / 2.0
+def _spherical_sum(x, y, z, pairs, choose=_pick):
+    return (1.0 + x + y + z) / 8.0 + _delta3(x, y, z, pairs, choose) / 2.0
 
 
-def _outside_correction(x, y, z, delta3=_delta3, absolute=abs, sign=sigma):
+def _outside_correction(x, y, z, pairs, absolute=abs, sign=sigma, choose=_pick):
     # The first-octant tail at (|x|, |y|, |z|), which is the sum at the
-    # reflected point since delta3 is even.
-    tail = _spherical_sum(-absolute(x), -absolute(y), -absolute(z), delta3)
-    return sign(x) * sign(y) * sign(z) * tail
+    # reflected point since delta3 is even.  Its pairs are the point's own
+    # up to sign, alpha(-|p|, -|q|) == sigma(p)*sigma(q)*alpha(p, q) bit for
+    # bit when p, q != 0; a zero coordinate zeroes the whole correction.
+    sx, sy, sz = sign(x), sign(y), sign(z)
+    yz, xz, xy = pairs
+    reflected = sy * sz * yz, sx * sz * xz, sx * sy * xy
+    tail = _spherical_sum(-absolute(x), -absolute(y), -absolute(z), reflected, choose)
+    return sx * sy * sz * tail
 
 
 def spherical_survival(x: float, y: float, z: float) -> float:
@@ -496,9 +505,6 @@ class EllipticalCopula(CopulaModel):
     def _cdf_array(self, u, v):
         return _elliptical_cdf_array(self.gamma, u, v)
 
-    def correlation(self) -> float:
-        return elliptical_correlation(self.gamma)
-
     def in_support(self, u: float, v: float, tol: float = 1e-12) -> bool:
         return _support_discriminant(self.gamma, u, v)[2] >= -tol
 
@@ -652,17 +658,17 @@ def evaluate(model: CopulaModel, quantity: str, *coords) -> np.ndarray:
     result is a float array of their broadcast shape.  Every value equals
     the scalar call at the same point bit for bit: the kernels run the
     scalar closed forms' own expressions on arrays (numpy's ``+ - * /`` and
-    ``sqrt`` round exactly as Python floats do), ``max``, ``min`` and
-    ``sorted`` keep Python's choice between 0.0 and -0.0, and each ``atan2``
-    goes through ``math.atan2``, since ``np.arctan2`` can differ from it in
-    the last bit.  ``math.atan2`` runs only where its second argument
-    ``w`` is positive, inside the support: elsewhere ``w`` is +0.0 and
+    ``sqrt`` round exactly as Python floats do), ``max`` and ``min`` keep
+    Python's choice between 0.0 and -0.0, ``np.choose`` picks the
+    ``delta3`` term that a tuple index picks, and each ``atan2`` goes
+    through ``math.atan2``, since ``np.arctan2`` can differ from it in the
+    last bit.  ``math.atan2`` runs only where its second argument ``w`` is
+    positive, inside the support: elsewhere ``w`` is +0.0 and
     ``atan2(a, +0.0)`` is exactly ``copysign(pi/2, a)``, or ``a`` when it is
     zero.  The spherical CDF evaluates each of its three pair ``alpha``
-    values once, where the scalar form evaluates them twice outside the
-    ball.  Survival is the CDF kernel at the reflected point, as in the
-    scalar methods.  A point outside the cube raises
-    :class:`DomainError`, and the spherical density raises
+    values once, as the scalar form does.  Survival is the CDF kernel at
+    the reflected point, as in the scalar methods.  A point outside the
+    cube raises :class:`DomainError`, and the spherical density raises
     :class:`NotAbsolutelyContinuousError` as the scalar method does.
     """
     if quantity not in ("pdf", "cdf", "survival"):
@@ -716,17 +722,6 @@ def _min_exact(a, b):
     return np.where(b < a, b, a)
 
 
-def _stable_order(columns):
-    # Row by row, the argument positions in the order sorted() puts their
-    # values: a stable sort keeps 0.0 and -0.0, which compare equal, in
-    # argument order.
-    return np.argsort(np.column_stack(columns), axis=1, kind="stable")
-
-
-def _sorted_exact(columns):
-    return np.take_along_axis(np.column_stack(columns), _stable_order(columns), axis=1).T
-
-
 def _sign_exact(t):
     return np.sign(t).astype(np.int64)
 
@@ -764,25 +759,11 @@ def _nonlinear_cdf_array(u, v):
     return np.where(_nonlinear_corners(u, v), upper, val)
 
 
-def _pair_delta3(pairs, *coords):
-    # delta3 from its three pair alphas, pairs[:, k] being alpha of the two
-    # coordinates other than k.  _delta3 pairs the sorted values (a, b, c);
-    # the stable order names the coordinate behind each, so the same alphas
-    # are summed in the same order.
-    bc, ac, ab = np.take_along_axis(pairs, _stable_order(coords), axis=1).T
-    return ac + (ab + bc)
-
-
 def _spherical_cdf_array(x, y, z):
-    # Each pair alpha once: outside the ball, delta3(-|x|, -|y|, -|z|) sums
-    # the same pairs up to sign, as alpha(-|p|, -|q|) == e_p*e_q*alpha(p, q)
-    # bit for bit with e = -1.0 for t < 0 and 1.0 otherwise (1.0 at a zero,
-    # unlike sigma).
-    pairs = np.column_stack((_alpha_array(y, z), _alpha_array(x, z), _alpha_array(x, y)))
-    val = _spherical_sum(x, y, z, partial(_pair_delta3, pairs))
+    # The scalar form with the outside-the-ball branch as a mask.
+    pairs = _alpha_array(y, z), _alpha_array(x, z), _alpha_array(x, y)
+    val = _spherical_sum(x, y, z, pairs, np.choose)
     out = x * x + y * y + z * z >= 1.0
-    x, y, z, pairs = x[out], y[out], z[out], pairs[out]
-    ex, ey, ez = (np.where(t < 0.0, -1.0, 1.0) for t in (x, y, z))
-    pairs *= np.column_stack((ey * ez, ex * ez, ex * ey))
-    val[out] += _outside_correction(x, y, z, partial(_pair_delta3, pairs), np.abs, _sign_exact)
+    x, y, z, pairs = x[out], y[out], z[out], [p[out] for p in pairs]
+    val[out] += _outside_correction(x, y, z, pairs, np.abs, _sign_exact, np.choose)
     return _clamp01_array(val)

@@ -56,7 +56,7 @@ from .errors import (
     OracleInconsistencyError,
     QuadratureError,
 )
-from .special_math import alpha, alpha_gamma, cap_intersection_area, clamped_arcsin, delta3, h_identity
+from .special_math import _clamped_asin, alpha, alpha_gamma, cap_intersection_area, delta3, h_identity
 
 __all__ = [
     "DEFAULT_QUADRATURE",
@@ -505,6 +505,11 @@ class VerifyConfig:
     alpha_fn: Callable[[float, float], float] = special_math.alpha
 
     def __post_init__(self) -> None:
+        # Integer types, so that NaN or a fraction cannot slip past the bounds.
+        for name in ("n_samples", "mc_n", "rect_count", "mass_rect_count"):
+            count = getattr(self, name)
+            if not isinstance(count, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {count!r}")
         if self.n_samples < 1000 or self.mc_n < 1000:
             raise DomainError("verification needs at least 1000 samples")
         if self.rect_count < 1 or self.mass_rect_count < 1:
@@ -612,7 +617,7 @@ def _scalar_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tup
     yield "h_identity_constant", "-", "50x50 grid", gap, 0.0, 1e-12
 
     gap = _max_gap(
-        (clamped_arcsin(a) + clamped_arcsin(math.sqrt(1.0 - a * a)), 0.5 * math.pi)
+        (_clamped_asin(a) + _clamped_asin(math.sqrt(1.0 - a * a)), 0.5 * math.pi)
         for a in np.linspace(0.0, 1.0, 101)
     )
     yield "arcsin_complement", "-", "101 unit pairs", gap, 0.0, 1e-12

@@ -14,47 +14,24 @@ terms for the three-dimensional model.
 
 from __future__ import annotations
 
-import enum
 import math
 
 from .errors import DomainError, PreconditionError
 
 __all__ = [
-    "ARCSIN_TOL",
-    "RegionId",
     "alpha",
     "alpha_gamma",
     "cap_intersection_area",
-    "clamped_arcsin",
-    "classify_region",
     "delta3",
     "h_identity",
     "sigma",
 ]
 
-#: Default tolerance for clamping inverse-trig arguments to [-1, 1].
-ARCSIN_TOL = 1e-12
+# Default tolerance for clamping inverse-trig arguments to [-1, 1].
+_ARCSIN_TOL = 1e-12
 
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
-
-
-class RegionId(enum.Enum):
-    """Partition cell of the centered square for the skewed family.
-
-    R1-R4 are the quadrant pieces of the support ellipse; R5-R8 the four
-    corner components of its complement (top-right, top-left, bottom-right,
-    bottom-left in that order).
-    """
-
-    R1 = 1
-    R2 = 2
-    R3 = 3
-    R4 = 4
-    R5 = 5
-    R6 = 6
-    R7 = 7
-    R8 = 8
 
 
 def sigma(w: float) -> int:
@@ -76,18 +53,14 @@ def _clamp_unit(t: float, tol: float, context: str) -> float:
     return min(1.0, max(-1.0, t))
 
 
-def clamped_arcsin(t: float, tol: float = ARCSIN_TOL) -> float:
-    """arcsin with the argument clamped to ``[-1, 1]``.
-
-    Shields every arcsin evaluation in this module from floating-point
-    drift just past +-1.  An argument beyond ``1 + tol`` signals a genuine
-    precondition violation upstream, not round-off, and raises
-    :class:`DomainError`.
-    """
-    return math.asin(_clamp_unit(t, tol, "clamped_arcsin"))
+def _clamped_asin(t: float, tol: float = _ARCSIN_TOL) -> float:
+    # arcsin shielded from floating-point drift just past +-1.  An argument
+    # beyond 1 + tol signals a genuine precondition violation upstream, not
+    # round-off, and raises DomainError.
+    return math.asin(_clamp_unit(t, tol, "arcsin"))
 
 
-def _clamped_arccos(t: float, tol: float = ARCSIN_TOL) -> float:
+def _clamped_arccos(t: float, tol: float = _ARCSIN_TOL) -> float:
     return math.acos(_clamp_unit(t, tol, "arccos"))
 
 
@@ -109,9 +82,10 @@ def _check_gamma(gamma: float) -> None:
 
 
 # The private kernels below take their elementwise primitives as default
-# arguments: scalar callers get math.sqrt, max and math.atan2, and the array
-# path of copulas.evaluate passes elementwise equivalents that round the same
-# way, so both paths run one expression and agree bit for bit.
+# arguments: scalar callers get math.sqrt, max, math.atan2 and a tuple index,
+# and the array path of copulas.evaluate passes elementwise equivalents that
+# round and choose the same way, so both paths run one expression and agree
+# bit for bit.
 
 
 def _atan2_sum(u, v, a, b, c, w, atan2=math.atan2):
@@ -154,22 +128,37 @@ def _alpha(x, y, sqrt=math.sqrt, maximum=max, atan2=math.atan2):
 def delta3(x: float, y: float, z: float) -> float:
     """Sum of :func:`alpha` over the three coordinate pairs.
 
-    The arguments are sorted before pairing, so all six permutations of
-    ``(x, y, z)`` return bit-identical values while the summation order
-    stays fixed, and ``delta3(-x, -y, -z) == delta3(x, y, z)`` bit for bit.
+    The pair that leaves out the middle value is added to the sum of the
+    other two, with ties ordered as ``sorted`` orders them.  So all six
+    permutations of ``(x, y, z)`` return bit-identical values, and
+    ``delta3(-x, -y, -z) == delta3(x, y, z)`` bit for bit.
     """
     _check_cube3(x, y, z, "delta3")
-    return _delta3(x, y, z)
+    return _delta3(x, y, z, (_alpha(y, z), _alpha(x, z), _alpha(x, y)))
 
 
-def _delta3(x, y, z, alpha=_alpha, sort=sorted):
-    # ``sort`` must be stable, as ``sorted`` is: 0.0 and -0.0 compare equal,
-    # and their order decides the signs of zero that alpha sees.  Negating
-    # all three arguments reverses the sorted order, which swaps the pairs
-    # (a, b) and (b, c) and keeps (a, c); alpha(-p, -q) == alpha(p, q), so
-    # summing the swapped pair first makes delta3 even bit for bit.
-    a, b, c = sort((x, y, z))
-    return alpha(a, c) + (alpha(a, b) + alpha(b, c))
+def _middle(x, y, z):
+    # Position of the middle value of (x, y, z) in sorted()'s stable order,
+    # where of two equal values (0.0 and -0.0 compare equal) the earlier
+    # argument goes first.  y is in the middle when exactly one of x and z
+    # goes before it, z when exactly one of x and y does.  The same
+    # expression runs on floats and on numpy arrays.
+    return ((x <= y) != (z < y)) + 2 * ((x <= z) != (y <= z))
+
+
+def _pick(index, options):
+    return options[index]
+
+
+def _delta3(x, y, z, pairs, choose=_pick):
+    # delta3 from its pair alphas, pairs[k] being alpha of the two
+    # coordinates other than k.  Over the sorted (a, b, c) the sum is
+    # alpha(a, c) + (alpha(a, b) + alpha(b, c)): the pair without the middle
+    # value plus the other two, which add the same in either order.  Summing
+    # in that order makes delta3 even bit for bit, since negating all three
+    # arguments swaps (a, b) with (b, c) and keeps (a, c).
+    yz, xz, xy = pairs
+    return choose(_middle(x, y, z), (yz + (xz + xy), xz + (yz + xy), xy + (yz + xz)))
 
 
 def alpha_gamma(gamma: float, u: float, v: float) -> float:
@@ -184,8 +173,8 @@ def alpha_gamma(gamma: float, u: float, v: float) -> float:
     On the support ellipse this is the three-arcsin form, e.g.
     ``asin((v - u*sg)/(cos(gamma)*sqrt(1-u^2))) = atan2(v - u*sg, w)``,
     without its divisions; off the ellipse ``w = 0`` and the same expression
-    is exactly the linear value of the corner region (see
-    :func:`classify_region`).  ``1 - sg`` enters as ``cos^2(gamma)/(1 + sg)``
+    is exactly the linear value of the corner region beyond the chord
+    that cuts that corner off.  ``1 - sg`` enters as ``cos^2(gamma)/(1 + sg)``
     so the corners stay right where ``sg`` rounds to 1, and negative angles
     use ``alpha_gamma(-gamma, -u, v) == -alpha_gamma(gamma, u, v)``.
     ``alpha_gamma(0.0, u, v)`` reproduces ``alpha(u, v)`` bit for bit.
@@ -225,34 +214,6 @@ def _support_discriminant(gamma: float, u, v):
     return u, d, cg2 * ((1.0 - v) * (1.0 + v)) - b * b
 
 
-def classify_region(gamma: float, u: float, v: float) -> RegionId:
-    """Assign ``(u, v)`` to one of the eight partition cells.
-
-    Points of the (closed) support ellipse go to R1-R4 split by quadrant,
-    with axis ties resolved toward nonnegative coordinates; points of the
-    complement go to the corner region R5-R8 whose defining half-plane
-    contains them.  Ties on the ellipse boundary classify as inside.
-    """
-    _check_gamma(gamma)
-    _check_square(u, v, "classify_region")
-    sg = math.sin(gamma)
-    cg = math.cos(gamma)
-    q = u * u + v * v - 2.0 * u * v * sg
-    if q > cg * cg:
-        if u + v > 1.0 + sg:
-            return RegionId.R5
-        if v - u > 1.0 - sg:
-            return RegionId.R6
-        if v - u < sg - 1.0:
-            return RegionId.R7
-        if u + v < -1.0 - sg:
-            return RegionId.R8
-        # Round-off near a tangency point: treat as inside.
-    if u >= 0.0:
-        return RegionId.R1 if v >= 0.0 else RegionId.R3
-    return RegionId.R2 if v >= 0.0 else RegionId.R4
-
-
 def h_identity(x: float, y: float) -> float:
     """Three-arcsin sum that is identically ``pi/2`` on its domain.
 
@@ -271,9 +232,9 @@ def h_identity(x: float, y: float) -> float:
     rt = math.sqrt(1.0 - s)
     r = math.sqrt(s)
     return (
-        clamped_arcsin(x * y / (cx * cy))
-        + clamped_arcsin(x * rt / (cx * r))
-        + clamped_arcsin(y * rt / (cy * r))
+        _clamped_asin(x * y / (cx * cy))
+        + _clamped_asin(x * rt / (cx * r))
+        + _clamped_asin(y * rt / (cy * r))
     )
 
 

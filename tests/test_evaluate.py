@@ -16,13 +16,16 @@ from ballcopulas import (
     NotAbsolutelyContinuousError,
     Rectangle,
     SphericalCopula,
+    alpha,
     cdf_volume,
+    delta3,
     evaluate,
+    spherical_cdf,
 )
-from ballcopulas.copulas import _corner_sum, _max_exact, _min_exact, _sign_exact, _sorted_exact
+from ballcopulas.copulas import _corner_sum, _max_exact, _min_exact, _sign_exact
 from ballcopulas.copulas import _atan2_exact
 from ballcopulas.oracle import _first_min
-from ballcopulas.special_math import sigma
+from ballcopulas.special_math import _middle, sigma
 
 HALF_PI = 0.5 * math.pi
 GAMMAS = [0.0, math.pi / 8, -math.pi / 4, 1.5707963, -1.5707963, HALF_PI - 1e-12, -(HALF_PI - 1e-12)]
@@ -156,13 +159,15 @@ def test_elementwise_primitives_match_python():
             assert got.tobytes() == np.array([want]).tobytes()
 
 
-def test_sorted_exact_is_stable_like_sorted():
-    # 0.0 and -0.0 compare equal, so only a stable sort keeps their order as
-    # sorted() does, and that order fixes the signs of zero alpha sees.
+def test_middle_is_stable_like_sorted():
+    # 0.0 and -0.0 compare equal, so only the stable order of sorted() says
+    # which of them is the middle value, and that fixes the signs of zero
+    # delta3 sums.
     triples = list(product([-0.0, 0.0, 0.5, -0.5], repeat=3))
-    got = np.column_stack(_sorted_exact(tuple(np.array(c) for c in zip(*triples))))
-    want = np.array([sorted(t) for t in triples])
-    assert got.tobytes() == want.tobytes()
+    want = [sorted(range(3), key=t.__getitem__)[1] for t in triples]
+    assert [_middle(*t) for t in triples] == want
+    got = _middle(*(np.array(c) for c in zip(*triples)))
+    assert got.dtype.kind == "i" and got.tolist() == want
 
 
 @pytest.mark.parametrize(
@@ -212,8 +217,8 @@ def test_atan2_exact_matches_math_atan2_on_and_off_the_support():
 
 
 def test_spherical_outside_ball_equals_scalar():
-    # The array path reuses the three pair alphas outside the ball; the
-    # scalar path evaluates delta3 twice.  Points on the sphere, ties
+    # Outside the ball both paths reuse the three pair alphas up to sign.
+    # Points on the sphere, ties
     # |x| == |y| with mixed signs, and +-0.0 in every position.
     model = SphericalCopula()
     rng = np.random.default_rng(11)
@@ -236,3 +241,50 @@ def test_spherical_outside_ball_equals_scalar():
     assert outside.mean() > 0.5
     for quantity in ("cdf", "survival"):
         assert_bits(model, quantity, columns)
+
+
+def reference_delta3(x, y, z):
+    # The sort-based summation, frozen: alpha over the sorted (a, b, c).
+    a, b, c = sorted((x, y, z))
+    return alpha(a, c) + (alpha(a, b) + alpha(b, c))
+
+
+def reference_spherical_cdf(x, y, z):
+    # The two-delta3 form of the spherical CDF, frozen.
+    val = (1.0 + x + y + z) / 8.0 + reference_delta3(x, y, z) / 2.0
+    if x * x + y * y + z * z >= 1.0:
+        ax, ay, az = -abs(x), -abs(y), -abs(z)
+        tail = (1.0 + ax + ay + az) / 8.0 + reference_delta3(ax, ay, az) / 2.0
+        val += sigma(x) * sigma(y) * sigma(z) * tail
+    return min(1.0, max(0.0, val))
+
+
+def snapped_points(n, seed):
+    # Uniform points of the cube with about 40% of the coordinates snapped
+    # to values that tie in magnitude, land on the sphere or are +-0.0.
+    rng = np.random.default_rng(seed)
+    snaps = np.array([0.0, 1.0, 0.5, 0.6, 0.8, math.sqrt(0.5), 1.0 / 3.0])
+    snaps = np.concatenate([snaps, -snaps])
+    points = rng.uniform(-1.0, 1.0, (n, 3))
+    snap = rng.random((n, 3)) < 0.4
+    points[snap] = rng.choice(snaps, snap.sum())
+    return points
+
+
+def test_spherical_kernels_match_sort_based_reference():
+    model = SphericalCopula()
+    points = snapped_points(20000, 12)
+    assert ((points == 0.0) & np.signbit(points)).any() and (points ** 2).sum(axis=1).max() >= 1.0
+    triples = points.tolist()
+
+    def bits(values):
+        return np.array(values, dtype=float).view(np.int64)
+
+    want_delta3 = bits([reference_delta3(*p) for p in triples])
+    want_cdf = bits([reference_spherical_cdf(*p) for p in triples])
+    want_survival = bits([reference_spherical_cdf(-x, -y, -z) for x, y, z in triples])
+    assert (bits([delta3(*p) for p in triples]) == want_delta3).all()
+    assert (bits([spherical_cdf(*p) for p in triples]) == want_cdf).all()
+    assert (bits([model.survival(*p) for p in triples]) == want_survival).all()
+    assert (evaluate(model, "cdf", *points.T).view(np.int64) == want_cdf).all()
+    assert (evaluate(model, "survival", *points.T).view(np.int64) == want_survival).all()

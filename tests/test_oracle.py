@@ -318,6 +318,12 @@ def test_verify_config_validation():
         VerifyConfig(rect_count=0)
     with pytest.raises(DomainError):
         VerifyConfig(mass_rect_count=0)
+    # A count that is not an integer is rejected before it reaches the
+    # samplers and the rectangle draws.
+    for name in ("n_samples", "mc_n", "rect_count", "mass_rect_count"):
+        for value in (math.nan, 2.5, 5000.0):
+            with pytest.raises(DomainError):
+                VerifyConfig(**{name: value})
 
 
 def test_quad_mass_across_support_kinks():

@@ -7,17 +7,15 @@ import pytest
 from ballcopulas import (
     DomainError,
     PreconditionError,
-    RegionId,
     alpha,
     alpha_gamma,
     cap_intersection_area,
     circular_survival,
-    clamped_arcsin,
-    classify_region,
     delta3,
     h_identity,
     sigma,
 )
+from ballcopulas.special_math import _clamped_asin
 
 # Independent quadrature value of the circular tail at (0.3, 0.4), frozen:
 # alpha(0.3, 0.4) = tail(0.3, 0.4) - (1 - 0.3 - 0.4)/4.
@@ -44,14 +42,14 @@ def test_sigma_rejects_non_finite():
 
 
 def test_clamped_arcsin():
-    assert clamped_arcsin(1.0 + 1e-13, tol=1e-12) == math.pi / 2
-    assert clamped_arcsin(-1.0 - 1e-13, tol=1e-12) == -math.pi / 2
-    assert clamped_arcsin(0.0) == 0.0
-    assert clamped_arcsin(0.5) == math.asin(0.5)
+    assert _clamped_asin(1.0 + 1e-13, tol=1e-12) == math.pi / 2
+    assert _clamped_asin(-1.0 - 1e-13, tol=1e-12) == -math.pi / 2
+    assert _clamped_asin(0.0) == 0.0
+    assert _clamped_asin(0.5) == math.asin(0.5)
     with pytest.raises(DomainError):
-        clamped_arcsin(1.01, tol=1e-12)
+        _clamped_asin(1.01, tol=1e-12)
     with pytest.raises(DomainError):
-        clamped_arcsin(-1.01, tol=1e-12)
+        _clamped_asin(-1.01, tol=1e-12)
 
 
 def test_alpha_examples():
@@ -178,38 +176,6 @@ def test_alpha_gamma_domain():
         alpha_gamma(0.1, 1.5, 0.0)
 
 
-def test_classify_region_examples():
-    assert classify_region(0.0, 0.5, 0.5) is RegionId.R1
-    assert classify_region(math.pi / 8, 0.99, 0.99) is RegionId.R5
-    assert classify_region(0.0, -0.99, 0.99) is RegionId.R6
-    assert classify_region(0.0, 0.99, -0.99) is RegionId.R7
-    assert classify_region(0.0, -0.99, -0.99) is RegionId.R8
-
-
-def test_classify_region_quadrants_inside():
-    g = math.pi / 8
-    assert classify_region(g, -0.3, 0.2) is RegionId.R2
-    assert classify_region(g, 0.3, -0.2) is RegionId.R3
-    assert classify_region(g, -0.3, -0.2) is RegionId.R4
-
-
-def test_classify_region_boundary_ties_go_inside():
-    # (0.6, 0.8) evaluates exactly onto the unit circle in floating point
-    assert 0.6 * 0.6 + 0.8 * 0.8 == 1.0
-    assert classify_region(0.0, 0.6, 0.8) is RegionId.R1
-    # tangency point of the ellipse with the square edge
-    g = math.pi / 8
-    assert classify_region(g, 1.0, math.sin(g)) is RegionId.R1
-
-
-def test_classify_region_partition_is_exhaustive():
-    rng = np.random.default_rng(17)
-    for g in (-math.pi / 4, 0.0, math.pi / 8, math.pi / 4):
-        for _ in range(500):
-            u, v = rng.uniform(-1.0, 1.0, 2)
-            assert classify_region(g, u, v) in RegionId
-
-
 def test_h_identity_constant():
     for x, y in ((0.3, 0.4), (0.7, 0.1), (1e-4, 1e-4)):
         assert abs(h_identity(x, y) - math.pi / 2) <= 1e-12
@@ -230,7 +196,7 @@ def test_h_identity_domain():
 def test_arcsin_complement_identity():
     for a in np.linspace(0.0, 1.0, 101):
         b = math.sqrt(1.0 - a * a)
-        assert abs(clamped_arcsin(float(a)) + clamped_arcsin(b) - math.pi / 2) <= 1e-12
+        assert abs(_clamped_asin(float(a)) + _clamped_asin(b) - math.pi / 2) <= 1e-12
 
 
 def test_cap_area_orthogonal_hemispheres():
