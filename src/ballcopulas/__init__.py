@@ -2,124 +2,12 @@
 and spheres: closed-form densities, CDFs, survival functions and exact
 samplers, cross-checked by quadrature and Monte-Carlo oracles."""
 
-from .copulas import (
-    RNG_ALGORITHM,
-    CircularCopula,
-    CopulaModel,
-    EllipticalCopula,
-    NonlinearDiskCopula,
-    Rectangle,
-    SampleBatch,
-    SphericalCopula,
-    cdf_volume,
-    circular_cdf,
-    circular_pdf,
-    circular_survival,
-    ellipse_intersection_area,
-    elliptical_cdf,
-    elliptical_correlation,
-    elliptical_pdf,
-    evaluate,
-    marginal_pdf_circle,
-    marginal_pdf_disk,
-    model_from_name,
-    nonlinear_cdf,
-    nonlinear_forward,
-    nonlinear_inverse,
-    nonlinear_pdf,
-    spherical_cdf,
-    spherical_survival,
-)
-from .errors import (
-    BallCopulasError,
-    DimensionError,
-    DomainError,
-    NotAbsolutelyContinuousError,
-    OracleInconsistencyError,
-    PreconditionError,
-    QuadratureError,
-)
-from .oracle import (
-    DEFAULT_QUADRATURE,
-    KS_CRITICAL_COEFF,
-    CheckResult,
-    MCEstimate,
-    QuadratureSpec,
-    VerificationReport,
-    VerifyConfig,
-    integrate_adaptive,
-    ks_uniform,
-    mc_cdf,
-    moment_check,
-    quad_mass_2d,
-    quad_survival_circular,
-    quad_survival_spherical,
-    verify_suite,
-)
-from .special_math import (
-    alpha,
-    alpha_gamma,
-    cap_intersection_area,
-    delta3,
-    h_identity,
-    sigma,
-)
+from . import copulas, errors, oracle, special_math
+from .copulas import *
+from .errors import *
+from .oracle import *
+from .special_math import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BallCopulasError",
-    "CheckResult",
-    "CircularCopula",
-    "CopulaModel",
-    "DEFAULT_QUADRATURE",
-    "DimensionError",
-    "DomainError",
-    "EllipticalCopula",
-    "KS_CRITICAL_COEFF",
-    "MCEstimate",
-    "NonlinearDiskCopula",
-    "NotAbsolutelyContinuousError",
-    "OracleInconsistencyError",
-    "PreconditionError",
-    "QuadratureError",
-    "QuadratureSpec",
-    "RNG_ALGORITHM",
-    "Rectangle",
-    "SampleBatch",
-    "SphericalCopula",
-    "VerificationReport",
-    "VerifyConfig",
-    "alpha",
-    "alpha_gamma",
-    "cap_intersection_area",
-    "cdf_volume",
-    "circular_cdf",
-    "circular_pdf",
-    "circular_survival",
-    "delta3",
-    "ellipse_intersection_area",
-    "elliptical_cdf",
-    "elliptical_correlation",
-    "elliptical_pdf",
-    "evaluate",
-    "h_identity",
-    "integrate_adaptive",
-    "ks_uniform",
-    "marginal_pdf_circle",
-    "marginal_pdf_disk",
-    "mc_cdf",
-    "model_from_name",
-    "moment_check",
-    "nonlinear_cdf",
-    "nonlinear_forward",
-    "nonlinear_inverse",
-    "nonlinear_pdf",
-    "quad_mass_2d",
-    "quad_survival_circular",
-    "quad_survival_spherical",
-    "sigma",
-    "spherical_cdf",
-    "spherical_survival",
-    "verify_suite",
-]
+__all__ = copulas.__all__ + errors.__all__ + oracle.__all__ + special_math.__all__

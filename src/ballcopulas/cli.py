@@ -7,9 +7,14 @@ sample   draw reproducible samples, emit CSV plus a JSON metadata sidecar
 verify   run the verification suite, emit the report JSON
 caparea  print the spherical cap intersection area for (r1, r2, d)
 
+Each input rule is checked once: argparse rejects missing, unknown,
+unparsable and out-of-choice arguments, the library rejects the values it
+cannot take, and this module checks only ``--grid`` and the output path.
+
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 invalid
-configuration (including an output path that cannot be written), 3
-unsupported quantity (density of the spherical model), 4 internal error (any
+configuration (an argparse error or a ``BallCopulasError``, including an
+output path that cannot be written), 3 unsupported quantity (the density of
+the spherical model, ``NotAbsolutelyContinuousError``), 4 internal error (any
 other exception; reported on stderr, no traceback).
 """
 
@@ -20,13 +25,12 @@ import datetime as _dt
 import json
 import math
 import sys
-from dataclasses import dataclass
 from itertools import chain, product
 
 import numpy as np
 
-from .copulas import CopulaModel, EllipticalCopula, evaluate, model_from_name
-from .errors import BallCopulasError
+from .copulas import EllipticalCopula, evaluate, model_from_name
+from .errors import BallCopulasError, NotAbsolutelyContinuousError
 from .oracle import QuadratureSpec, VerifyConfig, verify_suite
 from .special_math import cap_intersection_area
 
@@ -44,27 +48,8 @@ _GAMMA_LITERALS = {
 }
 
 
-class CliConfigError(Exception):
+class CliConfigError(BallCopulasError):
     pass
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Regular evaluation grid on ``[-1, 1]`` per axis: points per axis and
-    quantity."""
-
-    axis_points: int = 101
-    quantity: str = "cdf"
-
-    def __post_init__(self) -> None:
-        if self.axis_points < 2:
-            raise CliConfigError("grid needs at least 2 points per axis")
-        if self.quantity not in ("pdf", "cdf", "survival"):
-            raise CliConfigError(f"unknown quantity {self.quantity!r}")
-
-    def axes(self, dim: int) -> list[list[float]]:
-        n = self.axis_points - 1
-        return [[-1.0 + 2.0 * i / n for i in range(n + 1)] for _ in range(dim)]
 
 
 def _parse_gamma(text: str) -> float:
@@ -74,22 +59,10 @@ def _parse_gamma(text: str) -> float:
     try:
         return float(key)
     except ValueError:
-        raise CliConfigError(
+        raise argparse.ArgumentTypeError(
             f"invalid gamma {text!r}: expected a decimal in radians or one of "
             f"{sorted(_GAMMA_LITERALS)}"
         ) from None
-
-
-def _build_model(args: argparse.Namespace) -> CopulaModel:
-    gamma = None
-    if args.gamma is not None:
-        gamma = _parse_gamma(args.gamma)
-    if args.model == "elliptical":
-        if gamma is None:
-            raise CliConfigError("--gamma is required for the elliptical model")
-    elif gamma is not None:
-        raise CliConfigError("--gamma is only valid for the elliptical model")
-    return model_from_name(args.model, gamma)
 
 
 def _csv(header: str, rows) -> str:
@@ -126,20 +99,15 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    model = _build_model(args)
-    if args.quantity == "pdf" and model.name == "spherical":
-        print(
-            "error: the spherical model is not absolutely continuous (its mass "
-            "lives on the unit-sphere surface), so it has no density to evaluate",
-            file=sys.stderr,
-        )
-        return EXIT_UNSUPPORTED_QUANTITY
-    grid = GridSpec(axis_points=args.grid, quantity=args.quantity)
+    model = model_from_name(args.model, args.gamma)
+    if args.grid < 2:
+        raise CliConfigError("grid needs at least 2 points per axis")
+    n = args.grid - 1
+    axes = [[-1.0 + 2.0 * i / n for i in range(n + 1)]] * model.dim
     coords = ("x", "y") if model.dim == 2 else ("x", "y", "z")
-    axes = grid.axes(model.dim)
     # Row-major over the grid: x varies slowest.
     mesh = np.meshgrid(*axes, indexing="ij")
-    values = evaluate(model, grid.quantity, *mesh).ravel()
+    values = evaluate(model, args.quantity, *mesh).ravel()
 
     if args.format == "csv":
         # Each axis coordinate and each distinct value is formatted once,
@@ -159,13 +127,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    model = _build_model(args)
-    if args.n is None or args.n < 1:
-        raise CliConfigError("--n (>= 1) is required for sample")
-    if args.seed is None:
-        raise CliConfigError("--seed is required for sample")
-    if args.out is None:
-        raise CliConfigError("--out is required for sample")
+    model = model_from_name(args.model, args.gamma)
     batch = model.sample(args.n, args.seed)
     coords = ("x", "y") if model.dim == 2 else ("x", "y", "z")
     cells = map(repr, batch.points.ravel().tolist())
@@ -186,8 +148,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.seed is None:
-        raise CliConfigError("--seed is required for verify")
     kwargs: dict = {
         "seed": args.seed,
         "tol_scale": args.tol_scale,
@@ -228,6 +188,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--gamma",
+        type=_parse_gamma,
         default=None,
         help="skew angle in radians for the elliptical model; accepts decimals "
         "or the literals pi/4, pi/8, -pi/8, -pi/4",
@@ -254,9 +215,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="draw reproducible samples")
     _add_model_flags(p_sample)
-    p_sample.add_argument("--n", type=int, default=None, help="number of samples")
-    p_sample.add_argument("--seed", type=int, default=None, help="RNG seed (required)")
-    p_sample.add_argument("--out", default=None, help="CSV output path (required)")
+    p_sample.add_argument("--n", type=int, required=True, help="number of samples")
+    p_sample.add_argument("--seed", type=int, required=True, help="RNG seed")
+    p_sample.add_argument("--out", required=True, help="CSV output path")
     p_sample.add_argument(
         "--no-timestamp",
         action="store_true",
@@ -265,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(func=cmd_sample)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--seed", type=int, default=None, help="master seed (required)")
+    p_verify.add_argument("--seed", type=int, required=True, help="master seed")
     p_verify.add_argument(
         "--n", type=int, default=None, help="samples per model (at least 1000)"
     )
@@ -303,9 +264,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except CliConfigError as exc:
+    except NotAbsolutelyContinuousError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_UNSUPPORTED_QUANTITY
     except BallCopulasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

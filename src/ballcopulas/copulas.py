@@ -315,11 +315,15 @@ def nonlinear_cdf(u: float, v: float) -> float:
 # model classes
 # ---------------------------------------------------------------------------
 
-def _make_rng(seed: int) -> np.random.Generator:
+def _check_seed(seed: int) -> None:
     if not isinstance(seed, (int, np.integer)):
         raise DomainError(f"seed must be an integer, got {seed!r}")
     if not 0 <= int(seed) < _MAX_SEED:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
+def _make_rng(seed: int) -> np.random.Generator:
+    _check_seed(seed)
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
@@ -570,7 +574,10 @@ def _check_sample_size(n: int) -> None:
 
 
 def model_from_name(name: str, gamma: float | None = None) -> CopulaModel:
-    """Build a model from its CLI name; ``gamma`` is required iff elliptical."""
+    """Build a model from its CLI name; ``gamma`` is required iff elliptical:
+    a missing or superfluous gamma, or an unknown name, raises DomainError."""
+    if gamma is not None and name != "elliptical":
+        raise DomainError(f"gamma is only valid for the elliptical model, got model {name!r}")
     if name == "circular":
         return CircularCopula()
     if name == "spherical":

@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BallCopulasError",
+    "DimensionError",
+    "DomainError",
+    "NotAbsolutelyContinuousError",
+    "OracleInconsistencyError",
+    "PreconditionError",
+    "QuadratureError",
+]
+
 
 class BallCopulasError(Exception):
     """Base class for every error raised by this package."""

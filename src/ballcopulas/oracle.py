@@ -47,6 +47,7 @@ from .copulas import (
     nonlinear_inverse,
     spherical_cdf,
     spherical_survival,
+    _check_seed,
     _corner_sum,
 )
 from .errors import (
@@ -505,6 +506,8 @@ class VerifyConfig:
     alpha_fn: Callable[[float, float], float] = special_math.alpha
 
     def __post_init__(self) -> None:
+        # The samplers' rule, else a bad seed folds into a valid derived stream.
+        _check_seed(self.seed)
         # Integer types, so that NaN or a fraction cannot slip past the bounds.
         for name in ("n_samples", "mc_n", "rect_count", "mass_rect_count"):
             count = getattr(self, name)

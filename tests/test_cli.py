@@ -9,21 +9,13 @@ import numpy as np
 import pytest
 
 from ballcopulas import model_from_name
-from ballcopulas.cli import CliConfigError, GridSpec, _reprs, main
+from ballcopulas.cli import _reprs, main
 
 
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_grid_spec():
-    assert GridSpec(axis_points=3).axes(2) == [[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]]
-    with pytest.raises(CliConfigError):
-        GridSpec(axis_points=1)
-    with pytest.raises(CliConfigError):
-        GridSpec(quantity="quantile")
 
 
 def test_eval_small_grid_csv(tmp_path, capsys):
@@ -209,11 +201,15 @@ EVAL_CASES = [
 ]
 
 
+def grid_axis(n):
+    return [-1.0 + 2.0 * i / (n - 1) for i in range(n)]
+
+
 def reference_eval(model, quantity, n, fmt):
     """The output of a per-point loop over the grid, x slowest."""
     coords = ("x", "y", "z")[: model.dim]
     fn = getattr(model, quantity)
-    rows = [(*p, fn(*p)) for p in product(*GridSpec(axis_points=n).axes(model.dim))]
+    rows = [(*p, fn(*p)) for p in product(grid_axis(n), repeat=model.dim)]
     if fmt == "csv":
         lines = [",".join(coords) + ",value"]
         lines.extend(",".join(repr(float(t)) for t in row) for row in rows)
@@ -236,7 +232,7 @@ def test_eval_bytes_equal_per_point_reference(tmp_path, capsys, flags, model, qu
         assert out.read_text() == reference_eval(model, quantity, n, fmt)
     if n == 21:
         # The middle grid line is an exact 0.0.
-        assert 0.0 in GridSpec(axis_points=n).axes(1)[0]
+        assert 0.0 in grid_axis(n)
 
 
 @pytest.mark.parametrize(
@@ -382,6 +378,12 @@ def test_verify_exit_codes_and_report(tmp_path, capsys):
 
 def test_verify_requires_seed(capsys):
     assert run(["verify"], capsys)[0] == 2
+    # The samplers' seed rule holds for verify too: -1 must not run the
+    # checks of the derived streams of 2**63 - 1.
+    for seed in ("-1", str(2**64)):
+        code, out, err = run(["verify", "--seed", seed, "--n", "1000", "--rects", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert "seed must be a 64-bit unsigned integer" in err
 
 
 def test_verify_zero_tolerance_fails(tmp_path, capsys):
@@ -441,6 +443,7 @@ def test_unwritable_out_exit_2(tmp_path, capsys):
 def test_unknown_arguments_exit_2(capsys):
     assert run(["eval", "--bogus"], capsys)[0] == 2
     assert run(["frobnicate"], capsys)[0] == 2
+    assert run(["eval", "--model", "circular", "--quantity", "quantile"], capsys)[0] == 2
 
 
 def test_eval_elliptical_near_right_angle(capsys):

@@ -402,6 +402,10 @@ def test_model_from_name():
         model_from_name("elliptical")
     with pytest.raises(DomainError):
         model_from_name("gaussian")
+    # gamma iff elliptical: a gamma for another model is not ignored.
+    for name in ("circular", "spherical", "nonlinear"):
+        with pytest.raises(DomainError):
+            model_from_name(name, gamma=0.5)
 
 
 # --- rectangles -------------------------------------------------------

@@ -324,6 +324,11 @@ def test_verify_config_validation():
         for value in (math.nan, 2.5, 5000.0):
             with pytest.raises(DomainError):
                 VerifyConfig(**{name: value})
+    # The master seed follows the samplers' rule, an integer in [0, 2**64):
+    # 1.5 would run the checks of seed 1, and -1 those of 2**63 - 1.
+    for seed in (1.5, -1, 2**64):
+        with pytest.raises(DomainError):
+            VerifyConfig(seed=seed)
 
 
 def test_quad_mass_across_support_kinks():
