@@ -176,7 +176,7 @@ def _spherical_sum(x, y, z, pairs, choose=_pick):
     return (1.0 + x + y + z) / 8.0 + _delta3(x, y, z, pairs, choose) / 2.0
 
 
-def _outside_correction(x, y, z, pairs, absolute=abs, sign=sigma, choose=_pick):
+def _outside_correction(x, y, z, pairs, sign=sigma, choose=_pick):
     # The first-octant tail at (|x|, |y|, |z|), which is the sum at the
     # reflected point since delta3 is even.  Its pairs are the point's own
     # up to sign, alpha(-|p|, -|q|) == sigma(p)*sigma(q)*alpha(p, q) bit for
@@ -184,7 +184,7 @@ def _outside_correction(x, y, z, pairs, absolute=abs, sign=sigma, choose=_pick):
     sx, sy, sz = sign(x), sign(y), sign(z)
     yz, xz, xy = pairs
     reflected = sy * sz * yz, sx * sz * xz, sx * sy * xy
-    tail = _spherical_sum(-absolute(x), -absolute(y), -absolute(z), reflected, choose)
+    tail = _spherical_sum(-abs(x), -abs(y), -abs(z), reflected, choose)
     return sx * sy * sz * tail
 
 
@@ -374,7 +374,7 @@ class SampleBatch:
     model: CopulaModel
     seed: int
     points: np.ndarray
-    rng_algorithm: str = RNG_ALGORITHM
+    rng_algorithm: ClassVar[str] = RNG_ALGORITHM
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -401,13 +401,13 @@ class CircularCopula(CopulaModel):
         return circular_cdf(x, y)
 
     def survival(self, x: float, y: float) -> float:
-        return circular_survival(x, y)
+        return circular_cdf(-x, -y)
 
     def _pdf_array(self, x, y):
         return _sheared_pdf_array(0.0, x, y)
 
     def _cdf_array(self, x, y):
-        return _circular_cdf_array(x, y)
+        return _planar_cdf(x, y, _alpha_array(x, y), _clamp01_array)
 
     def in_support(self, x: float, y: float, tol: float = 1e-12) -> bool:
         return x * x + y * y <= 1.0 + tol
@@ -464,7 +464,13 @@ class SphericalCopula(CopulaModel):
     _pdf_array = pdf
 
     def _cdf_array(self, x, y, z):
-        return _spherical_cdf_array(x, y, z)
+        # The scalar form with the outside-the-ball branch as a mask.
+        pairs = _alpha_array(y, z), _alpha_array(x, z), _alpha_array(x, y)
+        val = _spherical_sum(x, y, z, pairs, np.choose)
+        out = x * x + y * y + z * z >= 1.0
+        x, y, z, pairs = x[out], y[out], z[out], [p[out] for p in pairs]
+        val[out] += _outside_correction(x, y, z, pairs, _sign_exact, np.choose)
+        return _clamp01_array(val)
 
     def in_support(self, x: float, y: float, z: float, tol: float = 1e-12) -> bool:
         return abs(x * x + y * y + z * z - 1.0) <= tol
@@ -507,7 +513,7 @@ class EllipticalCopula(CopulaModel):
         return _sheared_pdf_array(self.gamma, u, v)
 
     def _cdf_array(self, u, v):
-        return _elliptical_cdf_array(self.gamma, u, v)
+        return _planar_cdf(u, v, _alpha_gamma_array(self.gamma, u, v), _clamp01_array)
 
     def in_support(self, u: float, v: float, tol: float = 1e-12) -> bool:
         return _support_discriminant(self.gamma, u, v)[2] >= -tol
@@ -542,10 +548,13 @@ class NonlinearDiskCopula(CopulaModel):
         return nonlinear_cdf(-u, -v)
 
     def _pdf_array(self, u, v):
-        return _nonlinear_pdf_array(u, v)
+        return np.where(_nonlinear_corners(u, v), 0.0, _nonlinear_density(u, v, np.sqrt))
 
     def _cdf_array(self, u, v):
-        return _nonlinear_cdf_array(u, v)
+        overlap = _overlap_atan2(u, v, np.sqrt, _atan2_exact)
+        val = _planar_cdf(u, v, overlap / _TWO_PI, _clamp01_array)
+        upper = np.where((u > 0.0) & (v > 0.0), 1.0, 0.0)
+        return np.where(_nonlinear_corners(u, v), upper, val)
 
     def in_support(self, u: float, v: float, tol: float = 1e-12) -> bool:
         return abs(u) <= 1.0 + tol and abs(v) <= 1.0 + tol
@@ -676,7 +685,8 @@ def evaluate(model: CopulaModel, quantity: str, *coords) -> np.ndarray:
     values once, as the scalar form does.  Survival is the CDF kernel at
     the reflected point, as in the scalar methods.  A point outside the
     cube raises :class:`DomainError`, and the spherical density raises
-    :class:`NotAbsolutelyContinuousError` as the scalar method does.
+    :class:`NotAbsolutelyContinuousError` as the scalar method does, on an
+    empty input too: the kernel always runs on at least one slab.
     """
     if quantity not in ("pdf", "cdf", "survival"):
         raise DomainError(f"unknown quantity {quantity!r}")
@@ -696,7 +706,7 @@ def evaluate(model: CopulaModel, quantity: str, *coords) -> np.ndarray:
         kernel = getattr(model, f"_{quantity}_array")
     out = np.empty(outside.size)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, out.size, _SLAB):
+        for lo in range(0, max(out.size, 1), _SLAB):
             out[lo:lo + _SLAB] = kernel(*(c[lo:lo + _SLAB] for c in cols))
     return out.reshape(shape)
 
@@ -743,34 +753,5 @@ def _sheared_pdf_array(gamma, u, v):
     return np.where(w2 > 0.0, _density(w2, np.sqrt), 0.0)
 
 
-def _circular_cdf_array(x, y):
-    return _planar_cdf(x, y, _alpha_array(x, y), _clamp01_array)
-
-
-def _elliptical_cdf_array(gamma, u, v):
-    return _planar_cdf(u, v, _alpha_gamma_array(gamma, u, v), _clamp01_array)
-
-
 def _nonlinear_corners(u, v):
     return (np.abs(u) == 1.0) & (np.abs(v) == 1.0)
-
-
-def _nonlinear_pdf_array(u, v):
-    return np.where(_nonlinear_corners(u, v), 0.0, _nonlinear_density(u, v, np.sqrt))
-
-
-def _nonlinear_cdf_array(u, v):
-    overlap = _overlap_atan2(u, v, np.sqrt, _atan2_exact)
-    val = _planar_cdf(u, v, overlap / _TWO_PI, _clamp01_array)
-    upper = np.where((u > 0.0) & (v > 0.0), 1.0, 0.0)
-    return np.where(_nonlinear_corners(u, v), upper, val)
-
-
-def _spherical_cdf_array(x, y, z):
-    # The scalar form with the outside-the-ball branch as a mask.
-    pairs = _alpha_array(y, z), _alpha_array(x, z), _alpha_array(x, y)
-    val = _spherical_sum(x, y, z, pairs, np.choose)
-    out = x * x + y * y + z * z >= 1.0
-    x, y, z, pairs = x[out], y[out], z[out], [p[out] for p in pairs]
-    val[out] += _outside_correction(x, y, z, pairs, np.abs, _sign_exact, np.choose)
-    return _clamp01_array(val)

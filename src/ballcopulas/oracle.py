@@ -22,10 +22,10 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache, partial
 from itertools import permutations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -82,6 +82,9 @@ _FOUR_PI = 4.0 * math.pi
 
 #: Asymptotic two-sided KS critical coefficient at significance 0.01.
 KS_CRITICAL_COEFF = 1.63
+
+# Skew angles of the elliptical models that verify_suite checks.
+_GAMMAS = (-math.pi / 4, math.pi / 8, math.pi / 4)
 
 
 # Gauss-Legendre order of every quadrature panel.
@@ -447,25 +450,21 @@ class CheckResult:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "model": self.model,
-            "input": self.input,
-            "closed_form": self.closed_form,
-            "oracle": self.oracle,
-            "abs_diff": self.abs_diff,
-            "tol": self.tol,
-            "pass": self.passed,
-        }
+        doc = asdict(self)
+        doc["pass"] = doc.pop("passed")
+        return doc
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    rng_algorithm: str
     seed: int
-    global_pass: bool
     checks: tuple[CheckResult, ...]
     timestamp: str | None = None
+    rng_algorithm: ClassVar[str] = RNG_ALGORITHM
+
+    @property
+    def global_pass(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
         doc = {
@@ -499,7 +498,6 @@ class VerifyConfig:
     mc_n: int = 100_000
     rect_count: int = 10_000
     mass_rect_count: int = 25
-    gammas: tuple[float, ...] = (-math.pi / 4, math.pi / 8, math.pi / 4)
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     tol_scale: float = 1.0
     include_timestamp: bool = True
@@ -599,7 +597,7 @@ def _scalar_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tup
     yield "alpha_gamma_zero_reduction", "-", "41x41 grid", gap, 0.0, 1e-12
 
     axis = np.linspace(-1.0, 1.0, 21).tolist()
-    for g in cfg.gammas:
+    for g in _GAMMAS:
         gap = _max_gap(
             (alpha_gamma(-g, -u, v), -alpha_gamma(g, u, v)) for u in axis for v in axis
         )
@@ -689,7 +687,7 @@ def _model_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tupl
         yield "rect_mass_nonnegative", m.describe(), count, least, 0.0, 1e-12
 
     axis = np.linspace(-1.0, 1.0, 21).tolist()
-    for g in cfg.gammas:
+    for g in _GAMMAS:
         m = EllipticalCopula(g)
         gap = _max_gap((m.cdf(u, v) - (u + v) / 2.0, m.cdf(-u, -v)) for u in axis for v in axis)
         yield "elliptical_point_symmetry", m.describe(), "21x21 grid", gap, 0.0, 1e-12
@@ -787,7 +785,7 @@ def _sampler_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tu
         band = 4.0 * max(e.std_error for e in moments)
         yield "second_moment_one_third", m.describe(), size, worst, 0.0, band
 
-    for g in cfg.gammas:
+    for g in _GAMMAS:
         pts = batches[EllipticalCopula(g).describe()].points
         corr = float(np.corrcoef(pts[:, 0], pts[:, 1])[0, 1])
         target = math.sin(g)
@@ -815,7 +813,7 @@ def _sampler_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tu
         (CircularCopula(), (0.3, -0.2)),
         (SphericalCopula(), (0.2, 0.3, 0.4)),
         (NonlinearDiskCopula(), (0.5, 0.5)),
-        *((EllipticalCopula(g), (0.3, -0.2)) for g in cfg.gammas),
+        *((EllipticalCopula(g), (0.3, -0.2)) for g in _GAMMAS),
     ]
     for i, (m, p) in enumerate(mc_points):
         est = mc_cdf(m, p, cfg.mc_n, _derived_seed(cfg.seed, 3000 + i))
@@ -893,7 +891,7 @@ def verify_suite(config: VerifyConfig | None = None) -> VerificationReport:
     models = [
         CircularCopula(),
         SphericalCopula(),
-        *[EllipticalCopula(g) for g in cfg.gammas],
+        *[EllipticalCopula(g) for g in _GAMMAS],
         NonlinearDiskCopula(),
     ]
     # Fixed per-purpose sample batches, one per model.
@@ -914,9 +912,7 @@ def verify_suite(config: VerifyConfig | None = None) -> VerificationReport:
                 )
             )
     return VerificationReport(
-        rng_algorithm=RNG_ALGORITHM,
         seed=cfg.seed,
-        global_pass=all(c.passed for c in checks),
         checks=tuple(checks),
         timestamp=(
             _dt.datetime.now(_dt.timezone.utc).isoformat() if cfg.include_timestamp else None

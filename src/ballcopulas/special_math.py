@@ -81,11 +81,12 @@ def _check_gamma(gamma: float) -> None:
         )
 
 
-# The private kernels below take their elementwise primitives as default
-# arguments: scalar callers get math.sqrt, max, math.atan2 and a tuple index,
-# and the array path of copulas.evaluate passes elementwise equivalents that
-# round and choose the same way, so both paths run one expression and agree
-# bit for bit.
+# The private kernels below, and the copulas kernels built on them, take
+# their elementwise primitives as default arguments: scalar callers get
+# math.sqrt, max, min, math.atan2, sigma and a tuple index, and the array
+# path of copulas.evaluate passes elementwise equivalents that round and
+# choose the same way, so both paths run one expression and agree bit for
+# bit.  Arithmetic and the builtin abs serve both paths as they are.
 
 
 def _atan2_sum(u, v, a, b, c, w, atan2=math.atan2):

@@ -356,6 +356,7 @@ def test_sampler_support(model):
         assert np.max(np.sum(pts * pts, axis=1)) <= 1.0 + 1e-12
     elif isinstance(model, SphericalCopula):
         assert np.max(np.abs(np.sum(pts * pts, axis=1) - 1.0)) <= 1e-12
+        assert model.in_support(*pts[0]) and not model.in_support(0.0, 0.0, 0.9)
     elif isinstance(model, EllipticalCopula):
         q = pts[:, 0] ** 2 + pts[:, 1] ** 2 - 2.0 * pts[:, 0] * pts[:, 1] * math.sin(model.gamma)
         assert np.max(q) <= math.cos(model.gamma) ** 2 + 1e-12
@@ -497,3 +498,20 @@ def test_cdf_volume_nonnegative_near_circle():
         upper = tuple(min(max(c + h / 2.0, -1.0), 1.0) for c in (x, y))
         worst = min(worst, cdf_volume(model, Rectangle(lower, upper)))
     assert worst >= -1e-12
+
+
+# Defect D4, not yet fixed: where the support ellipse touches the square at
+# (1, sin(gamma)), the computed discriminant comes out about +1e-16 instead
+# of the true -(v - sin(gamma))^2, and the CDF drifts by about 1.7e-9.
+D4_V = 0.7071067741067466
+
+
+@pytest.mark.xfail(strict=True, reason="D4: elliptical marginal drifts near the touching point")
+def test_elliptical_marginal_near_touching_point():
+    assert abs(elliptical_cdf(math.pi / 4, 1.0, D4_V) - (D4_V + 1.0) / 2.0) <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="D4: negative elliptical mass near the touching point")
+def test_elliptical_mass_nonnegative_near_touching_point():
+    rect = Rectangle((0.9999999799387923, 0.707106767717611), (1.0, D4_V))
+    assert cdf_volume(EllipticalCopula(math.pi / 4), rect) >= -1e-12

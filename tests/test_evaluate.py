@@ -141,8 +141,9 @@ def test_evaluate_validation():
         evaluate(CircularCopula(), "cdf", [0.0], [0.0], [0.0])
     with pytest.raises(DomainError):
         evaluate(CircularCopula(), "quantile", [0.0], [0.0])
-    with pytest.raises(NotAbsolutelyContinuousError):
-        evaluate(SphericalCopula(), "pdf", [0.0], [0.0], [0.0])
+    for point in ([0.0], []):
+        with pytest.raises(NotAbsolutelyContinuousError):
+            evaluate(SphericalCopula(), "pdf", point, point, point)
 
 
 def test_elementwise_primitives_match_python():

@@ -12,8 +12,10 @@ from ballcopulas import (
     NonlinearDiskCopula,
     NotAbsolutelyContinuousError,
     QuadratureError,
+    MCEstimate,
     QuadratureSpec,
     Rectangle,
+    SampleBatch,
     SphericalCopula,
     VerifyConfig,
     alpha,
@@ -69,6 +71,9 @@ def test_integrate_known_values():
 def test_integrate_empty_and_reversed_interval():
     assert integrate_adaptive(np.sin, 1.0, 1.0) == 0.0
     assert integrate_adaptive(np.sin, 2.0, 1.0) == 0.0
+    for a, b in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+        with pytest.raises(DomainError, match="finite"):
+            integrate_adaptive(np.sin, a, b)
 
 
 def test_integrate_reports_convergence_failure():
@@ -108,6 +113,9 @@ def test_quad_survival_circular_domain():
 
 def test_quad_survival_spherical_octant():
     assert abs(quad_survival_spherical(0.0, 0.0, 0.0) - 0.125) <= 1e-9
+    # Within the endpoint pull of the sphere the x-first integral is empty.
+    x = math.nextafter(1.0, 0.0)
+    assert quad_survival_spherical(x, 0.0, 0.0) == 0.0
 
 
 def test_quad_survival_spherical_frozen_and_permutations():
@@ -135,6 +143,8 @@ def test_quad_mass_normalization():
 def test_quad_mass_rejects_spherical():
     with pytest.raises(NotAbsolutelyContinuousError):
         quad_mass_2d(SphericalCopula(), Rectangle((-1.0, -1.0), (1.0, 1.0)))
+    with pytest.raises(DomainError, match="two-dimensional"):
+        quad_mass_2d(CircularCopula(), Rectangle((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)))
 
 
 def test_quad_mass_matches_cdf_volume():
@@ -151,6 +161,7 @@ def test_quad_mass_matches_cdf_volume():
 def test_quad_mass_small_rect_circular():
     rect = Rectangle((0.0, 0.0), (0.3, 0.4))
     assert abs(quad_mass_2d(CircularCopula(), rect) - cdf_volume(CircularCopula(), rect)) <= 1e-9
+    assert quad_mass_2d(CircularCopula(), Rectangle((0.2, -1.0), (0.2, 1.0))) == 0.0
 
 
 def test_nonlinear_antiderivative_matches_raw_quadrature():
@@ -181,6 +192,9 @@ def test_mc_cdf_at_ones():
     est = mc_cdf(CircularCopula(), (1.0, 1.0), 1000, 7)
     assert est.value == 1.0
     assert est.std_error == 0.0
+    for std_error, n in ((-1e-3, 1000), (0.0, 0)):
+        with pytest.raises(DomainError):
+            MCEstimate(1.0, std_error, n, 7)
 
 
 def test_mc_cdf_known_quadrant():
@@ -240,6 +254,12 @@ def test_moment_check():
     for est in moments:
         assert abs(est.value - 1.0 / 3.0) <= 4.0 * est.std_error
         assert est.n == 100000
+    one = SampleBatch(SphericalCopula(), 23, np.array([[0.6, 0.0, -0.8]]))
+    assert [(e.value, e.std_error, e.n) for e in moment_check(one)] == [
+        (0.6 * 0.6, 0.0, 1), (0.0, 0.0, 1), (0.8 * 0.8, 0.0, 1)
+    ]
+    with pytest.raises(DomainError, match="nonempty"):
+        moment_check(SampleBatch(SphericalCopula(), 23, np.empty((0, 3))))
 
 
 # --- verification suite -------------------------------------------------
