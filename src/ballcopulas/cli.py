@@ -73,18 +73,10 @@ def _csv(header: str, rows) -> str:
 
 def _reprs(values: np.ndarray) -> list[str]:
     # list(map(repr, values.tolist())) with repr taken once per distinct bit
-    # pattern, so that 0.0 and -0.0 stay apart: a stable argsort groups
-    # equal keys, and each group's string is scattered back to its rows.
-    bits = values.view(np.int64)
-    order = np.argsort(bits, kind="stable")
-    ranked = bits[order]
-    first = np.empty(ranked.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    texts = np.array(list(map(repr, values[order[first]].tolist())), dtype=object)
-    out = np.empty(values.size, dtype=object)
-    out[order] = texts[np.cumsum(first) - 1]
-    return out.tolist()
+    # pattern, so that 0.0 and -0.0 stay apart.
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
+    texts = np.array(list(map(repr, values[first].tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -317,6 +317,47 @@ def test_sample_csv_equals_per_row_reference(tmp_path, capsys, name):
     assert out.read_text() == "\n".join(lines) + "\n"
 
 
+GOLDEN_SAMPLE = [
+    pytest.param(
+        ["--model", "circular"],
+        "9148089d240bac28ca066bde37d01ac81b8cecfa1aad69c8e022629a311341eb",
+        id="circular",
+    ),
+    pytest.param(
+        ["--model", "spherical"],
+        "95d58757147d2e4c726f8090b9cb2bb55c4a36f2b6aeba37f981cb215572dae3",
+        id="spherical",
+    ),
+    pytest.param(
+        ["--model", "nonlinear"],
+        "f1def1ca0db30e384d9ee18260eadca59eb4842ef07fa872cd9c26da896827b3",
+        id="nonlinear",
+    ),
+    pytest.param(
+        ["--model", "elliptical", "--gamma", "pi/4"],
+        "7172a0a582d7243d36f016dc8faffe71796b8a8a16f26dabe091aebbecb7c8c4",
+        id="elliptical(pi/4)",
+    ),
+    pytest.param(
+        ["--model", "elliptical", "--gamma", "1.5707963"],
+        "8f671722a78dbecfa4b290a13f67a49c923b0affd8d6b5834a36658cdec90901",
+        id="elliptical(1.5707963)",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, digest", GOLDEN_SAMPLE)
+def test_sample_csv_golden_sha256(tmp_path, capsys, flags, digest):
+    # Pins the samplers' bits, not just the CLI's agreement with the library.
+    out = tmp_path / "s.csv"
+    code, _, _ = run(
+        ["sample", *flags, "--n", "2000", "--seed", "321", "--out", str(out), "--no-timestamp"],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_sample_values_round_trip(tmp_path, capsys):
     out = tmp_path / "sph.csv"
     run(["sample", "--model", "spherical", "--n", "200", "--seed", "9",
