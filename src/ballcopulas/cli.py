@@ -98,7 +98,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     axes = [[-1.0 + 2.0 * i / n for i in range(n + 1)]] * model.dim
     coords = ("x", "y") if model.dim == 2 else ("x", "y", "z")
     # Row-major over the grid: x varies slowest.
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     values = evaluate(model, args.quantity, *mesh).ravel()
 
     if args.format == "csv":

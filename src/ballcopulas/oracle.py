@@ -115,9 +115,32 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
+# Most integrand points per call of ``f``: a level of panels wider than
+# this is evaluated in chunks, so that memory stays bounded however many
+# panels a level holds.
+_MAX_POINTS = 1 << 13
+
+
 @lru_cache(maxsize=1)
 def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(_GL_ORDER)
+
+
+def _panels(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    # Gauss-Legendre value of each panel [lo[i], hi[i]].  A panel's nodes
+    # are those a call for it alone would use, and each panel is reduced by
+    # its own np.dot: one matrix product over all panels rounds differently.
+    nodes, weights = _gl_nodes()
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    sums = np.empty(lo.size)
+    step = _MAX_POINTS // _GL_ORDER
+    for start in range(0, lo.size, step):
+        chunk = slice(start, start + step)
+        points = mid[chunk, None] + half[chunk, None] * nodes
+        values = np.asarray(f(points.ravel()), float).reshape(points.shape)
+        sums[chunk] = [np.dot(weights, row) for row in values]
+    return half * sums
 
 
 def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec | None = None) -> float:
@@ -125,48 +148,50 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec | None = None
 
     Panels of order-64 Gauss-Legendre are bisected until each halving
     changes the panel value by at most ``abs_tol`` times the panel's share
-    of ``[a, b]``.
+    of ``[a, b]``.  The panels are evaluated one level at a time: the
+    halves of every panel of a level go to ``f`` together, in calls of a
+    bounded number of points, and ``f`` must act element by element.  The
+    accepted panels are summed in depth-first order, right half first,
+    which is by descending lower limit.  So the panel tree, the result and
+    any :class:`QuadratureError` are those of refining one panel per call.
     """
     spec = spec or DEFAULT_QUADRATURE
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integration limits must be finite")
     if b <= a:
         return 0.0
-    nodes, weights = _gl_nodes()
     full = b - a
-
-    def panel(lo: float, hi: float) -> float:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        return half * float(np.dot(weights, np.asarray(f(mid + half * nodes), float)))
-
-    stack = [(a, b, panel(a, b))]
+    lo, hi = np.array([a], float), np.array([b], float)
+    whole = _panels(f, lo, hi)
     evaluations = 1
-    total = 0.0
-    while stack:
-        lo, hi, whole = stack.pop()
-        mid = 0.5 * (lo + hi)
-        left = panel(lo, mid)
-        right = panel(mid, hi)
-        evaluations += 2
+    accepted_lo, accepted = [], []
+    while lo.size:
+        evaluations += 2 * lo.size
         if evaluations > spec.max_subdivisions:
             raise QuadratureError(
                 f"no convergence to abs_tol={spec.abs_tol!r} within "
                 f"{spec.max_subdivisions} panel evaluations"
             )
+        mid = 0.5 * (lo + hi)
+        halves = _panels(f, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+        left, right = halves[:lo.size], halves[lo.size:]
         refined = left + right
         width = hi - lo
         # Per-panel budget proportional to width keeps the summed error
         # below abs_tol; the width floor stops infinite refinement at
         # integrable endpoint singularities.
-        if (
-            abs(refined - whole) <= spec.abs_tol * (width / full)
-            or width <= 16.0 * math.ulp(max(abs(lo), abs(hi), 1.0))
-        ):
-            total += refined
-        else:
-            stack.append((lo, mid, left))
-            stack.append((mid, hi, right))
+        done = (np.abs(refined - whole) <= spec.abs_tol * (width / full)) | (
+            width <= 16.0 * np.spacing(np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0))
+        )
+        accepted_lo.append(lo[done])
+        accepted.append(refined[done])
+        split = ~done
+        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
+        whole = np.concatenate((left[split], right[split]))
+    order = np.argsort(np.concatenate(accepted_lo))[::-1]
+    total = 0.0
+    for value in np.concatenate(accepted)[order].tolist():
+        total += value
     return total
 
 
@@ -388,7 +413,10 @@ def mc_cdf(model: CopulaModel, p: tuple[float, ...], n: int, seed: int) -> MCEst
     if any(not abs(t) <= 1.0 for t in point):
         raise DomainError(f"mc_cdf: point {point!r} outside the centered cube")
     batch = model.sample(n, seed)
-    q = float(np.mean(np.all(batch.points <= np.asarray(point), axis=1)))
+    # One comparison per coordinate column: np.all over the short rows of a
+    # (n, dim) array costs many times more.
+    below = np.logical_and.reduce([col <= t for col, t in zip(batch.points.T, point)])
+    q = np.count_nonzero(below) / n
     return MCEstimate(q, math.sqrt(q * (1.0 - q) / n), n, int(seed))
 
 
@@ -666,7 +694,7 @@ def _model_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tupl
         yield "uniform_marginals", m.describe(), "41-point edge grids", _max_gap(edges), 0.0, 1e-12
 
     for m in models:
-        values = evaluate(m, "cdf", *np.meshgrid(*[grid] * m.dim, indexing="ij"))
+        values = evaluate(m, "cdf", *np.meshgrid(*[grid] * m.dim, indexing="ij", sparse=True))
         violation = max(
             float(np.max(values - 1.0)),
             float(np.max(-values)),
@@ -742,10 +770,14 @@ def _sampler_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tu
     size = f"n={cfg.n_samples}"
     for m in models:
         pts = batches[m.describe()].points
+        # Squared norms by columns, summed left to right as np.sum over the
+        # rows would, without its slow per-row reduction.
         if isinstance(m, CircularCopula):
-            violation = float(np.max(np.sum(pts * pts, axis=1) - 1.0, initial=0.0))
+            x, y = pts.T
+            violation = float(np.max(x * x + y * y - 1.0, initial=0.0))
         elif isinstance(m, SphericalCopula):
-            violation = float(np.max(np.abs(np.sum(pts * pts, axis=1) - 1.0)))
+            x, y, z = pts.T
+            violation = float(np.max(np.abs(x * x + y * y + z * z - 1.0)))
         elif isinstance(m, EllipticalCopula):
             q = pts[:, 0] ** 2 + pts[:, 1] ** 2 - 2.0 * pts[:, 0] * pts[:, 1] * math.sin(m.gamma)
             violation = float(np.max(q - math.cos(m.gamma) ** 2, initial=0.0))
@@ -759,7 +791,8 @@ def _sampler_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tu
         yield "sampler_determinism", m.describe(), f"seed={seed}", float(not same), 0.0, 0.0
 
     # Radial law of the circular sampler: P(R <= r) = 1 - sqrt(1 - r^2).
-    radii = np.sort(np.sqrt(np.sum(batches["circular"].points ** 2, axis=1)))
+    x, y = batches["circular"].points.T
+    radii = np.sort(np.sqrt(x * x + y * y))
     ks = _ks_statistic(radii, 1.0 - np.sqrt(np.maximum(1.0 - radii * radii, 0.0)))
     crit = KS_CRITICAL_COEFF / math.sqrt(cfg.n_samples)
     yield "circular_radial_law_ks", "circular", size, ks, 0.0, crit
@@ -863,7 +896,8 @@ def _quadrature_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator
     pts = batches[sph.describe()].points
     worst = 0.0
     for r in _random_rectangles(_rng(cfg, 12), 5, 3):
-        emp = float(np.mean(np.all((pts > r.lower) & (pts <= r.upper), axis=1)))
+        within = [(col > lo) & (col <= hi) for col, lo, hi in zip(pts.T, r.lower, r.upper)]
+        emp = np.count_nonzero(np.logical_and.reduce(within)) / len(pts)
         vol = cdf_volume(sph, r)
         # Band from the closed-form probability: the empirical variance of
         # a rare rectangle can be spuriously zero.

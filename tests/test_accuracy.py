@@ -1,10 +1,13 @@
-"""Stated accuracy of the circular and spherical CDFs against 50-digit mpmath.
+"""Stated accuracy of the circular, spherical and nonlinear CDFs against
+50-digit mpmath.
 
 The reference is the same closed form evaluated in mpmath at the exact
 value of each float input, so the measured gap is the rounding error of the
-float evaluation.  The points are seeded: uniform ones, points within 1e-12
-to 1e-4 of the circle or sphere on both sides, and points whose coordinates
-are partly signed zeros and +-1.
+float evaluation.  The points are seeded: uniform ones, points near where
+the closed form changes (within 1e-12 to 1e-4 of the circle or sphere on
+both sides, or within 1e-14 to 1e-2 of the square's edges and corners for
+the nonlinear CDF), and points whose coordinates are partly signed zeros
+and +-1.
 """
 
 from itertools import product
@@ -13,9 +16,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from ballcopulas import circular_cdf, spherical_cdf
+from ballcopulas import circular_cdf, nonlinear_cdf, spherical_cdf
 
-# The absolute error bound that the two docstrings state.
+# The absolute error bound that the three docstrings state.
 BOUND = 4.5e-16
 
 _SPECIAL = (-1.0, -0.0, 0.0, 1.0)
@@ -47,15 +50,38 @@ def _spherical_exact(x, y, z):
     return _clamp01(val)
 
 
-def _points(rng, count, dim):
-    uniform = rng.uniform(-1.0, 1.0, (count, dim))
+def _nonlinear_exact(u, v):
+    if abs(u) == 1 and abs(v) == 1:
+        return mpmath.mpf(1 if u > 0 and v > 0 else 0)
+    cu, cv = mpmath.sqrt(1 - u * u), mpmath.sqrt(1 - v * v)
+    overlap = u * mpmath.atan2(v * cu, cv) + v * mpmath.atan2(u * cv, cu)
+    return _clamp01((u + v + 1) / 4 + overlap / (2 * mpmath.pi))
+
+
+def _near_sphere(rng, count, dim):
     # Random directions scaled to 1 -+ d with log-uniform d; the few that
     # leave the cube are dropped.
     direction = rng.normal(size=(count, dim))
     direction /= np.linalg.norm(direction, axis=1)[:, None]
     gap = 10.0 ** rng.uniform(-12.0, -4.0, count) * rng.choice((-1.0, 1.0), count)
     near = direction * (1.0 + gap)[:, None]
-    near = near[np.all(np.abs(near) <= 1.0, axis=1)]
+    return near[np.all(np.abs(near) <= 1.0, axis=1)]
+
+
+def _near_edges(rng, count, dim):
+    # Points with one coordinate, or about a quarter of them with every
+    # coordinate, within a log-uniform 1e-14 to 1e-2 inside an edge.
+    near = rng.uniform(-1.0, 1.0, (count, dim))
+    edge = np.eye(dim, dtype=bool)[rng.integers(dim, size=count)]
+    edge[rng.random(count) < 0.25] = True
+    gap = 10.0 ** rng.uniform(-14.0, -2.0, (count, dim))
+    near[edge] = (rng.choice((-1.0, 1.0), (count, dim)) * (1.0 - gap))[edge]
+    return near
+
+
+def _points(rng, count, dim, near_boundary=_near_sphere):
+    uniform = rng.uniform(-1.0, 1.0, (count, dim))
+    near = near_boundary(rng, count, dim)
     mixed = rng.uniform(-1.0, 1.0, (count, dim))
     special = rng.random((count, dim)) < 0.4
     mixed[special] = rng.choice(_SPECIAL, int(special.sum()))
@@ -71,12 +97,16 @@ def _worst_error(cdf, exact, points):
 
 
 @pytest.mark.parametrize(
-    "cdf, exact, dim, count",
-    [(circular_cdf, _circular_exact, 2, 1500), (spherical_cdf, _spherical_exact, 3, 800)],
-    ids=["circular", "spherical"],
+    "cdf, exact, dim, count, near_boundary",
+    [
+        (circular_cdf, _circular_exact, 2, 1500, _near_sphere),
+        (spherical_cdf, _spherical_exact, 3, 800, _near_sphere),
+        (nonlinear_cdf, _nonlinear_exact, 2, 800, _near_edges),
+    ],
+    ids=["circular", "spherical", "nonlinear"],
 )
-def test_cdf_within_stated_bound_of_mpmath(cdf, exact, dim, count):
-    points = _points(np.random.default_rng(20261018 + dim), count, dim)
+def test_cdf_within_stated_bound_of_mpmath(cdf, exact, dim, count, near_boundary):
+    points = _points(np.random.default_rng(20261018 + dim), count, dim, near_boundary)
     assert len(points) > 3 * count - count // 2
     assert _worst_error(cdf, exact, points) <= BOUND
 
@@ -89,6 +119,11 @@ def test_reference_gives_known_values():
         (_spherical_exact, (0, 0, 0), 0.125),
         (_spherical_exact, (1, 1, -0.5), 0.25),
         (_spherical_exact, (-1, 0.3, 0.2), 0.0),
+        (_nonlinear_exact, (0, 0), 0.25),
+        (_nonlinear_exact, (1, -0.5), 0.25),
+        (_nonlinear_exact, (-0.5, 1), 0.25),
+        (_nonlinear_exact, (1, 1), 1.0),
+        (_nonlinear_exact, (-1, 1), 0.0),
     ]
     with mpmath.workdps(50):
         for exact, point, value in cases:

@@ -23,7 +23,7 @@ from ballcopulas import (
     spherical_cdf,
 )
 from ballcopulas.copulas import _corner_sum, _max_exact, _min_exact, _sign_exact
-from ballcopulas.copulas import _atan2_exact
+from ballcopulas.copulas import _SLAB, _atan2_exact
 from ballcopulas.oracle import _first_min
 from ballcopulas.special_math import _middle, sigma
 
@@ -100,6 +100,28 @@ def spatial_points():
     return np.array(points).T
 
 
+def sparse_axes(shift=0):
+    """Axes of a sparse grid whose sphere cuts through it, with signed zeros
+    and points outside the ball; the long pair has more points than a slab.
+    ``shift`` rotates the axes."""
+    long_x = np.concatenate([np.linspace(-1.0, 1.0, 61), [-0.0, 0.0, 0.6, -0.8, 0.5**0.5, -(0.5**0.5)]])
+    long_z = np.concatenate([np.linspace(-1.0, 1.0, 60), [0.0, -0.0, 0.8, -0.6, 0.5, -0.5]])
+    axes = [long_x, np.array([-0.0, 0.6, 1.0]), long_z]
+    assert long_x.size * long_z.size > _SLAB
+    return axes[shift:] + axes[:shift]
+
+
+def assert_sparse_bits(model, quantity, axes):
+    # The sparse grid gives the dense grid's values, and those the scalar
+    # calls', bit for bit.
+    sparse = np.meshgrid(*axes, indexing="ij", sparse=True)
+    dense = np.meshgrid(*axes, indexing="ij")
+    got = evaluate(model, quantity, *sparse)
+    assert got.shape == dense[0].shape
+    assert got.tobytes() == evaluate(model, quantity, *dense).tobytes()
+    assert_bits(model, quantity, [c.ravel() for c in dense])
+
+
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_evaluate_bitwise_equal_to_scalar(case):
     model, quantity = case
@@ -117,6 +139,8 @@ def test_spherical_survival_every_orthant():
     base = rng.uniform(0.0, 1.0, (300, 3))
     for signs in product((-1.0, 1.0), repeat=3):
         assert_bits(model, "survival", (base * signs).T)
+    for shift in range(3):
+        assert_sparse_bits(model, "survival", sparse_axes(shift))
 
 
 def test_evaluate_across_slabs_and_shapes():
@@ -130,6 +154,11 @@ def test_evaluate_across_slabs_and_shapes():
     assert grid[3, 4] == model.cdf(float(x[3]), float(y[4]))
     assert evaluate(model, "pdf", [], []).shape == (0,)
     assert evaluate(model, "survival", 0.25, -0.5) == model.survival(0.25, -0.5)
+    sphere = SphericalCopula()
+    assert_sparse_bits(sphere, "cdf", sparse_axes())
+    for axes in (sparse_axes(), [[], [0.5], [0.0, 0.1]]):
+        with pytest.raises(NotAbsolutelyContinuousError):
+            evaluate(sphere, "pdf", *np.meshgrid(*axes, indexing="ij", sparse=True))
 
 
 def test_evaluate_validation():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from ballcopulas import (
     spherical_survival,
     verify_suite,
 )
-from ballcopulas.oracle import _nonlinear_antiderivative
+from ballcopulas import oracle
+from ballcopulas.oracle import _GAMMAS, _nonlinear_antiderivative
 
 SURV_CIRC_03_04 = 0.094975342664564685
 SURV_SPH_02_03_04 = 0.033967720551638207
@@ -76,10 +78,149 @@ def test_integrate_empty_and_reversed_interval():
             integrate_adaptive(np.sin, a, b)
 
 
+def bumpy(s):
+    return np.sqrt(np.abs(np.sin(7.0 * s)))
+
+
 def test_integrate_reports_convergence_failure():
     spec = QuadratureSpec(abs_tol=1e-13, max_subdivisions=5)
     with pytest.raises(QuadratureError):
-        integrate_adaptive(lambda s: np.sqrt(np.abs(np.sin(7.0 * s))), 0.0, 3.0, spec)
+        integrate_adaptive(bumpy, 0.0, 3.0, spec)
+
+
+def reference_integrate(f, a, b, spec):
+    # The depth-first integrator that evaluates one panel per call of f,
+    # frozen: the level-by-level one must return its float bit for bit and
+    # raise where it raises.
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    full = b - a
+
+    def panel(lo, hi):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        return half * float(np.dot(weights, np.asarray(f(mid + half * nodes), float)))
+
+    stack = [(a, b, panel(a, b))]
+    evaluations = 1
+    total = 0.0
+    while stack:
+        lo, hi, whole = stack.pop()
+        mid = 0.5 * (lo + hi)
+        left = panel(lo, mid)
+        right = panel(mid, hi)
+        evaluations += 2
+        if evaluations > spec.max_subdivisions:
+            raise QuadratureError("no convergence")
+        refined = left + right
+        width = hi - lo
+        if (
+            abs(refined - whole) <= spec.abs_tol * (width / full)
+            or width <= 16.0 * math.ulp(max(abs(lo), abs(hi), 1.0))
+        ):
+            total += refined
+        else:
+            stack.append((lo, mid, left))
+            stack.append((mid, hi, right))
+    return total
+
+
+@pytest.fixture
+def against_reference(monkeypatch):
+    """Route every oracle integral through both integrators, which must
+    agree bit for bit; returns the list of (a, b) integrated."""
+    seen = []
+
+    def checked(f, a, b, spec=None):
+        spec = spec or QuadratureSpec()
+        got = integrate_adaptive(f, a, b, spec)
+        assert got.hex() == reference_integrate(f, a, b, spec).hex(), (a, b, spec)
+        seen.append((a, b))
+        return got
+
+    monkeypatch.setattr(oracle, "integrate_adaptive", checked)
+    return seen
+
+
+def test_integrate_known_values_match_reference(against_reference):
+    integrands = [
+        (lambda s: s * s, 0.0, 1.0),
+        (np.sin, 0.0, math.pi),
+        (np.sqrt, 0.0, 1.0),
+        (lambda s: np.sqrt(np.maximum(1.0 - s * s, 0.0)), 0.0, 1.0),
+        (bumpy, 0.0, 3.0),
+    ]
+    for f, a, b in integrands:
+        oracle.integrate_adaptive(f, a, b)
+    assert len(against_reference) == len(integrands)
+
+
+def test_tail_integrals_match_reference(against_reference):
+    rng = np.random.default_rng(44)
+    for x, y in rng.uniform(0.0, 0.7, (20, 2)).tolist() + [(0.0, 0.0), (0.7, 0.71)]:
+        quad_survival_circular(x, y)
+    for p in rng.uniform(0.0, 0.57, (6, 3)).tolist() + [[0.0, 0.0, 0.0], [0.2, 0.3, 0.4]]:
+        quad_survival_spherical(*p)
+    assert len(against_reference) == 22 + 8 * 6
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        CircularCopula(),
+        *(EllipticalCopula(g) for g in (*_GAMMAS, 1.5707963, -1.5707963)),
+        NonlinearDiskCopula(),
+    ],
+    ids=lambda m: m.describe(),
+)
+def test_rectangle_mass_matches_reference(against_reference, model):
+    rng = np.random.default_rng(45)
+    a = rng.uniform(-1.0, 1.0, (12, 2))
+    b = rng.uniform(-1.0, 1.0, (12, 2))
+    rects = [Rectangle(tuple(lo), tuple(hi)) for lo, hi in zip(np.minimum(a, b), np.maximum(a, b))]
+    # The full square, and the rectangles of the support-kink tests.
+    rects += [
+        Rectangle((-1.0, -1.0), (1.0, 1.0)),
+        Rectangle((-1.0, -1.0), (0.04, -0.64)),
+        Rectangle((-1.0, -0.5), (1.0, 0.5)),
+        Rectangle((-0.96, -0.3), (0.99, 0.3)),
+        Rectangle((-1.0, -0.6), (1.0, 0.9999)),
+    ]
+    for rect in rects:
+        quad_mass_2d(model, rect)
+    assert len(against_reference) >= len(rects)
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-3])
+def test_convergence_failure_matches_reference(tol):
+    # The integral first converges at 51 panel evaluations for 1e-3, and
+    # needs thousands for 1e-13.
+    outcomes = []
+    for cap in range(4, 65):
+        spec = QuadratureSpec(abs_tol=tol, max_subdivisions=cap)
+        try:
+            want = reference_integrate(bumpy, 0.0, 3.0, spec)
+        except QuadratureError:
+            with pytest.raises(QuadratureError):
+                integrate_adaptive(bumpy, 0.0, 3.0, spec)
+            outcomes.append("raised")
+        else:
+            assert integrate_adaptive(bumpy, 0.0, 3.0, spec).hex() == want.hex()
+            outcomes.append("converged")
+    assert outcomes.count("converged") == (14 if tol == 1e-3 else 0), outcomes
+
+
+def test_integrate_memory_bounded_without_convergence():
+    # A tolerance no panel meets doubles every level until the panel cap;
+    # the integrand still gets bounded chunks of points.
+    spec = QuadratureSpec(abs_tol=1e-300, max_subdivisions=2**16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError):
+            integrate_adaptive(bumpy, 0.0, 3.0, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 # --- tail integrals ----------------------------------------------------
