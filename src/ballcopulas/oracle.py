@@ -22,7 +22,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from itertools import permutations
 from typing import Callable, ClassVar, Iterable, Iterator
@@ -143,27 +143,39 @@ def _panels(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return half * sums
 
 
-def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec | None = None) -> float:
+def integrate_adaptive(
+    f, a: float, b: float, spec: QuadratureSpec | None = None, points: Iterable[float] = ()
+) -> float:
     """Adaptively integrate a vectorized integrand ``f`` over ``[a, b]``.
 
-    Panels of order-64 Gauss-Legendre are bisected until each halving
-    changes the panel value by at most ``abs_tol`` times the panel's share
-    of ``[a, b]``.  The panels are evaluated one level at a time: the
-    halves of every panel of a level go to ``f`` together, in calls of a
-    bounded number of points, and ``f`` must act element by element.  The
-    accepted panels are summed in depth-first order, right half first,
-    which is by descending lower limit.  So the panel tree, the result and
-    any :class:`QuadratureError` are those of refining one panel per call.
+    ``points`` say where ``f`` has kinks, which bisection can converge
+    falsely across: the first level has one panel between each two
+    consecutive distinct values of ``a``, the points inside ``(a, b)`` and
+    ``b``, in any order.  A non-finite point raises :class:`DomainError`,
+    as a non-finite limit does.  Panels of order-64 Gauss-Legendre are
+    bisected until each halving changes the panel value by at most
+    ``abs_tol`` times the panel's share of ``[a, b]``, and
+    ``max_subdivisions`` caps every panel evaluated.  The panels are
+    evaluated one level at a time: the halves of every panel of a level go
+    to ``f`` together, in calls of a bounded number of points, and ``f``
+    must act element by element.  The accepted panels are summed in
+    depth-first order, right half first, which is by descending lower
+    limit.  So the panel tree, the result and any :class:`QuadratureError`
+    are those of refining one panel per call.
     """
     spec = spec or DEFAULT_QUADRATURE
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("integration limits must be finite")
+    edges = [a, *points, b]
+    if not all(math.isfinite(e) for e in edges):
+        raise DomainError("integration limits and points must be finite")
     if b <= a:
         return 0.0
     full = b - a
-    lo, hi = np.array([a], float), np.array([b], float)
+    # A set drops repeated points so that no first panel has zero width;
+    # -0.0 equals 0.0, and which of the two stays moves no panel's nodes.
+    edges = np.array([a, *sorted({p for p in edges[1:-1] if a < p < b}), b], float)
+    lo, hi = edges[:-1], edges[1:]
     whole = _panels(f, lo, hi)
-    evaluations = 1
+    evaluations = lo.size
     accepted_lo, accepted = [], []
     while lo.size:
         evaluations += 2 * lo.size
@@ -277,10 +289,7 @@ def quad_survival_spherical(
 # density mass over rectangles
 # ---------------------------------------------------------------------------
 
-def _inner_mass_elliptical(gamma: float, t_lo: float, t_hi: float):
-    sg = math.sin(gamma)
-    cg = math.cos(gamma)
-
+def _inner_mass_elliptical(sg: float, cg: float, t_lo: float, t_hi: float):
     def inner(s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, float)
         w = cg * np.sqrt(np.maximum(1.0 - s * s, 0.0))
@@ -319,23 +328,18 @@ def _inner_mass_nonlinear(t_lo: float, t_hi: float):
     return inner
 
 
-def _split_at_support_edge(
-    gamma: float, t_lo: float, t_hi: float, s_lo: float, s_hi: float
-) -> list[float]:
+def _support_kinks(sg: float, cg: float, t_lo: float, t_hi: float) -> list[float]:
     # The outer integrand has a kink wherever the bottom or top edge t of the
     # rectangle meets the support ellipse, at s = t*sin(gamma) +-
-    # cos(gamma)*sqrt(1 - t^2); adaptive bisection can converge falsely
-    # across one, so [s_lo, s_hi] is cut there.
-    sg = math.sin(gamma)
-    cg = math.cos(gamma)
+    # cos(gamma)*sqrt(1 - t^2).  The two kinks of an edge coincide where it
+    # is tangent to the support, and kinks of both edges where they sit at
+    # the same |t|; integrate_adaptive drops repeats and kinks outside.
     kinks = []
     for t in (t_lo, t_hi):
         if abs(t) < 1.0:
             half = cg * math.sqrt(1.0 - t * t)
             kinks += [t * sg - half, t * sg + half]
-    # A set, because the two kinks of an edge coincide where it is tangent
-    # to the support or sits at the same |t| as the other edge.
-    return [s_lo, *sorted({k for k in kinks if s_lo < k < s_hi}), s_hi]
+    return kinks
 
 
 def quad_mass_2d(
@@ -345,12 +349,11 @@ def quad_mass_2d(
 
     The inner integral is evaluated in closed form (arcsin difference for
     the disk-type densities, an explicit antiderivative for the nonlinear
-    one), so the adaptive outer integrand is bounded; it is integrated
-    piecewise between the points where the rectangle's bottom and top edges
-    meet the support boundary.  Each piece gets its width's share of
-    ``spec.abs_tol`` and an equal share (at least 4) of
-    ``spec.max_subdivisions``.  Rejected for the spherical model, which has
-    no Lebesgue density.
+    one), so the adaptive outer integrand is bounded.  It is one integral
+    over the rectangle's width, whose first panels end where the bottom and
+    top edges meet the support boundary; ``spec.max_subdivisions`` caps the
+    panels of the whole rectangle.  Rejected for the spherical model, which
+    has no Lebesgue density.
     """
     spec = spec or DEFAULT_QUADRATURE
     if model.dim != 2:
@@ -365,24 +368,15 @@ def quad_mass_2d(
     if isinstance(model, (CircularCopula, EllipticalCopula)):
         # The circular model is the sheared one at gamma = 0.
         gamma = getattr(model, "gamma", 0.0)
-        inner = _inner_mass_elliptical(gamma, t_lo, t_hi)
-        cuts = _split_at_support_edge(gamma, t_lo, t_hi, s_lo, s_hi)
+        sg, cg = math.sin(gamma), math.cos(gamma)
+        inner = _inner_mass_elliptical(sg, cg, t_lo, t_hi)
+        kinks = _support_kinks(sg, cg, t_lo, t_hi)
     elif isinstance(model, NonlinearDiskCopula):
         inner = _inner_mass_nonlinear(t_lo, t_hi)
-        cuts = [s_lo, s_hi]
+        kinks = []
     else:
         raise NotAbsolutelyContinuousError(f"unsupported model {model.name!r}")
-    # A piece gets the share of abs_tol that a panel of the same width would
-    # in one integral over [s_lo, s_hi].
-    budget = max(4, spec.max_subdivisions // (len(cuts) - 1))
-    total = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        tol = spec.abs_tol * (hi - lo) / (s_hi - s_lo)
-        if tol > 0.0:  # else the piece is too thin to carry any mass
-            total += integrate_adaptive(
-                inner, lo, hi, replace(spec, abs_tol=tol, max_subdivisions=budget)
-            )
-    return total
+    return integrate_adaptive(inner, s_lo, s_hi, spec, kinks)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ballcopulas import (
     CircularCopula,
@@ -68,6 +69,9 @@ def test_integrate_known_values():
         lambda s: np.sqrt(np.maximum(1.0 - s * s, 0.0)), 0.0, 1.0, spec
     )
     assert abs(quarter - math.pi / 4.0) <= 1e-9
+    # A kink at a first-level panel edge.
+    vee = integrate_adaptive(lambda s: np.abs(s - 0.3), 0.0, 1.0, spec, points=[0.3])
+    assert abs(vee - 0.29) <= 1e-9
 
 
 def test_integrate_empty_and_reversed_interval():
@@ -76,6 +80,10 @@ def test_integrate_empty_and_reversed_interval():
     for a, b in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
         with pytest.raises(DomainError, match="finite"):
             integrate_adaptive(np.sin, a, b)
+    # A non-finite point raises too, where a < nan < b would drop it.
+    for a, b, points in ((0.0, 1.0, [math.nan]), (0.0, 1.0, [0.5, math.inf]), (1.0, 1.0, [-math.inf])):
+        with pytest.raises(DomainError, match="finite"):
+            integrate_adaptive(np.sin, a, b, points=points)
 
 
 def bumpy(s):
@@ -88,20 +96,22 @@ def test_integrate_reports_convergence_failure():
         integrate_adaptive(bumpy, 0.0, 3.0, spec)
 
 
-def reference_integrate(f, a, b, spec):
+def reference_integrate(f, a, b, spec, points=()):
     # The depth-first integrator that evaluates one panel per call of f,
     # frozen: the level-by-level one must return its float bit for bit and
-    # raise where it raises.
+    # raise where it raises.  The pieces between the points start the
+    # stack in ascending order, so the rightmost is refined first.
     nodes, weights = np.polynomial.legendre.leggauss(64)
     full = b - a
+    edges = np.unique([a, *(p for p in points if a < p < b), b]).tolist()
 
     def panel(lo, hi):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         return half * float(np.dot(weights, np.asarray(f(mid + half * nodes), float)))
 
-    stack = [(a, b, panel(a, b))]
-    evaluations = 1
+    stack = [(lo, hi, panel(lo, hi)) for lo, hi in zip(edges, edges[1:])]
+    evaluations = len(stack)
     total = 0.0
     while stack:
         lo, hi, whole = stack.pop()
@@ -130,10 +140,10 @@ def against_reference(monkeypatch):
     agree bit for bit; returns the list of (a, b) integrated."""
     seen = []
 
-    def checked(f, a, b, spec=None):
+    def checked(f, a, b, spec=None, points=()):
         spec = spec or QuadratureSpec()
-        got = integrate_adaptive(f, a, b, spec)
-        assert got.hex() == reference_integrate(f, a, b, spec).hex(), (a, b, spec)
+        got = integrate_adaptive(f, a, b, spec, points)
+        assert got.hex() == reference_integrate(f, a, b, spec, points).hex(), (a, b, spec, points)
         seen.append((a, b))
         return got
 
@@ -187,26 +197,71 @@ def test_rectangle_mass_matches_reference(against_reference, model):
     ]
     for rect in rects:
         quad_mass_2d(model, rect)
-    assert len(against_reference) >= len(rects)
+    # One integral per rectangle, its kinks included.
+    assert len(against_reference) == len(rects)
+
+
+def _tally(sizes):
+    def f(s):
+        sizes.append(s.size)
+        return bumpy(s)
+
+    return f
+
+
+def _bumpy_agrees_with_reference(a, b, spec, points):
+    # Both integrators raise, or both return the same bits from the same
+    # number of integrand points, as the same panel tree does; a zero-width
+    # first panel would show in the count, or under a small cap as an early
+    # raise.
+    got, want = [], []
+    try:
+        expected = reference_integrate(_tally(want), a, b, spec, points)
+    except QuadratureError:
+        with pytest.raises(QuadratureError):
+            integrate_adaptive(bumpy, a, b, spec, points)
+        return "raised"
+    assert integrate_adaptive(_tally(got), a, b, spec, points).hex() == expected.hex()
+    assert sum(got) == sum(want)
+    return "converged"
 
 
 @pytest.mark.parametrize("tol", [1e-13, 1e-3])
 def test_convergence_failure_matches_reference(tol):
     # The integral first converges at 51 panel evaluations for 1e-3, and
-    # needs thousands for 1e-13.
-    outcomes = []
-    for cap in range(4, 65):
-        spec = QuadratureSpec(abs_tol=tol, max_subdivisions=cap)
-        try:
-            want = reference_integrate(bumpy, 0.0, 3.0, spec)
-        except QuadratureError:
-            with pytest.raises(QuadratureError):
-                integrate_adaptive(bumpy, 0.0, 3.0, spec)
-            outcomes.append("raised")
-        else:
-            assert integrate_adaptive(bumpy, 0.0, 3.0, spec).hex() == want.hex()
-            outcomes.append("converged")
-    assert outcomes.count("converged") == (14 if tol == 1e-3 else 0), outcomes
+    # needs thousands for 1e-13.  Cut at the kinks of bumpy, it converges
+    # for 1e-3 at 21: the cap counts the 7 first panels and their 14 halves.
+    # Repeated points, the limits and points outside [0, 3] add no panel.
+    cuts = [k * math.pi / 7 for k in (6, 1, 2, 3, 4, 5, 1, 6, 0, 7)] + [-0.0, 3.0, -1.0]
+    for points, converged in (((), 14), (cuts, 44)):
+        outcomes = [
+            _bumpy_agrees_with_reference(0.0, 3.0, QuadratureSpec(abs_tol=tol, max_subdivisions=cap), points)
+            for cap in range(4, 65)
+        ]
+        assert outcomes.count("converged") == (converged if tol == 1e-3 else 0), outcomes
+
+
+# Points that coincide with a limit, with each other or with a kink of
+# bumpy, signed zeros, values one ulp inside and outside the limits, and
+# arbitrary finite floats inside and outside [-1, 2], in any order.
+_POINTS = st.lists(
+    st.one_of(
+        st.sampled_from([
+            -1.0, -0.0, 0.0, 2.0, math.pi / 7, 2.0 * math.pi / 7,
+            math.nextafter(-1.0, 0.0), math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0),
+            math.nextafter(0.0, 1.0), math.nextafter(0.0, -1.0),
+        ]),
+        st.floats(-3.0, 4.0),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    max_size=8,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(a=st.sampled_from([-1.0, -0.0, 0.0]), points=_POINTS, cap=st.integers(4, 120))
+def test_integrate_with_points_matches_reference(a, points, cap):
+    _bumpy_agrees_with_reference(a, 2.0, QuadratureSpec(abs_tol=1e-3, max_subdivisions=cap), points)
 
 
 def test_integrate_memory_bounded_without_convergence():
