@@ -70,11 +70,8 @@ __all__ = [
     "circular_survival",
     "ellipse_intersection_area",
     "elliptical_cdf",
-    "elliptical_correlation",
     "elliptical_pdf",
     "evaluate",
-    "marginal_pdf_circle",
-    "marginal_pdf_disk",
     "model_from_name",
     "nonlinear_cdf",
     "nonlinear_forward",
@@ -104,26 +101,8 @@ def _density(w2, sqrt=math.sqrt):
 
 
 # ---------------------------------------------------------------------------
-# marginal and joint densities / distribution functions
+# densities and distribution functions
 # ---------------------------------------------------------------------------
-
-def marginal_pdf_disk(x: float) -> float:
-    """Semicircle density of one coordinate of a uniform point on the disk."""
-    if not abs(x) <= 1.0:
-        raise DomainError(f"marginal_pdf_disk: {x!r} outside [-1, 1]")
-    return (2.0 / math.pi) * math.sqrt(1.0 - x * x)
-
-
-def marginal_pdf_circle(x: float) -> float:
-    """Arcsine-law density of one coordinate of a uniform point on the circle.
-
-    Unbounded (but integrable) at the endpoints, so the open interval
-    ``(-1, 1)`` is required.
-    """
-    if not abs(x) < 1.0:
-        raise DomainError(f"marginal_pdf_circle: {x!r} outside (-1, 1)")
-    return 1.0 / (math.pi * math.sqrt(1.0 - x * x))
-
 
 def circular_pdf(x: float, y: float) -> float:
     """Density of the circular model: ``1/(2*pi*sqrt(1 - x^2 - y^2))`` on the
@@ -220,12 +199,6 @@ def elliptical_cdf(gamma: float, u: float, v: float) -> float:
     _check_gamma(gamma)
     _check_square(u, v, "elliptical_cdf")
     return _planar_cdf(u, v, _alpha_gamma(gamma, u, v))
-
-
-def elliptical_correlation(gamma: float) -> float:
-    """Pearson correlation of the sheared pair: ``sin(gamma)``."""
-    _check_gamma(gamma)
-    return math.sin(gamma)
 
 
 def nonlinear_forward(x: float, y: float) -> tuple[float, float]:
@@ -351,6 +324,8 @@ class CopulaModel:
         raise NotImplementedError
 
     def in_support(self, *point: float, tol: float = 1e-12) -> bool:
+        """Whether ``point`` is in the support, widened by ``tol``; the
+        coordinates are floats, or arrays that broadcast to a boolean array."""
         raise NotImplementedError
 
     def sample(self, n: int, seed: int) -> "SampleBatch":
@@ -575,7 +550,7 @@ class NonlinearDiskCopula(CopulaModel):
         return np.where(_nonlinear_corners(u, v), upper, val)
 
     def in_support(self, u: float, v: float, tol: float = 1e-12) -> bool:
-        return abs(u) <= 1.0 + tol and abs(v) <= 1.0 + tol
+        return (abs(u) <= 1.0 + tol) & (abs(v) <= 1.0 + tol)
 
     def sample(self, n: int, seed: int) -> SampleBatch:
         return _sample(self, n, seed, _nonlinear_points)

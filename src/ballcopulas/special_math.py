@@ -27,9 +27,6 @@ __all__ = [
     "sigma",
 ]
 
-# Default tolerance for clamping inverse-trig arguments to [-1, 1].
-_ARCSIN_TOL = 1e-12
-
 _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 
@@ -45,23 +42,21 @@ def sigma(w: float) -> int:
     return 0
 
 
-def _clamp_unit(t: float, tol: float, context: str) -> float:
-    if abs(t) > 1.0 + tol:
-        raise DomainError(
-            f"{context}: argument {t!r} exceeds 1 in magnitude by more than tol={tol!r}"
-        )
+def _clamp_unit(t: float, context: str) -> float:
+    if abs(t) > 1.0 + 1e-12:
+        raise DomainError(f"{context}: argument {t!r} exceeds 1 in magnitude by more than 1e-12")
     return min(1.0, max(-1.0, t))
 
 
-def _clamped_asin(t: float, tol: float = _ARCSIN_TOL) -> float:
+def _clamped_asin(t: float) -> float:
     # arcsin shielded from floating-point drift just past +-1.  An argument
-    # beyond 1 + tol signals a genuine precondition violation upstream, not
+    # beyond 1 + 1e-12 signals a genuine precondition violation upstream, not
     # round-off, and raises DomainError.
-    return math.asin(_clamp_unit(t, tol, "arcsin"))
+    return math.asin(_clamp_unit(t, "arcsin"))
 
 
-def _clamped_arccos(t: float, tol: float = _ARCSIN_TOL) -> float:
-    return math.acos(_clamp_unit(t, tol, "arccos"))
+def _clamped_arccos(t: float) -> float:
+    return math.acos(_clamp_unit(t, "arccos"))
 
 
 def _check_square(x: float, y: float, context: str) -> None:

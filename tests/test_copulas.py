@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -20,12 +20,9 @@ from ballcopulas import (
     circular_survival,
     ellipse_intersection_area,
     elliptical_cdf,
-    elliptical_correlation,
     elliptical_pdf,
     evaluate,
     ks_uniform,
-    marginal_pdf_circle,
-    marginal_pdf_disk,
     model_from_name,
     nonlinear_cdf,
     nonlinear_forward,
@@ -49,27 +46,6 @@ ALL_MODELS = [
     EllipticalCopula(math.pi / 4),
     NonlinearDiskCopula(),
 ]
-
-
-# --- marginals --------------------------------------------------------
-
-def test_marginal_pdf_disk():
-    assert marginal_pdf_disk(0.0) == 2.0 / math.pi
-    assert marginal_pdf_disk(1.0) == 0.0
-    assert marginal_pdf_disk(-1.0) == 0.0
-    assert abs(marginal_pdf_disk(0.5) - (2.0 / math.pi) * math.sqrt(0.75)) < 1e-15
-    with pytest.raises(DomainError):
-        marginal_pdf_disk(1.1)
-
-
-def test_marginal_pdf_circle():
-    assert marginal_pdf_circle(0.0) == 1.0 / math.pi
-    assert abs(marginal_pdf_circle(0.5) - 1.0 / (math.pi * math.sqrt(0.75))) < 1e-15
-    assert marginal_pdf_circle(0.999999) > 100.0
-    with pytest.raises(DomainError):
-        marginal_pdf_circle(1.0)
-    with pytest.raises(DomainError):
-        marginal_pdf_circle(-1.0)
 
 
 # --- circular model ---------------------------------------------------
@@ -249,12 +225,6 @@ def test_elliptical_point_symmetry():
             assert abs(lhs - rhs) <= 1e-12
 
 
-def test_elliptical_correlation():
-    assert elliptical_correlation(0.0) == 0.0
-    assert elliptical_correlation(math.pi / 4) == math.sin(math.pi / 4)
-    assert elliptical_correlation(-math.pi / 8) == -math.sin(math.pi / 8)
-
-
 def test_elliptical_gamma_validation():
     with pytest.raises(DomainError):
         EllipticalCopula(math.pi / 2)
@@ -362,6 +332,24 @@ def test_sampler_support(model):
         assert np.max(q) <= math.cos(model.gamma) ** 2 + 1e-12
     else:
         assert np.max(np.abs(pts)) <= 1.0
+    # The array form agrees with the scalar calls point by point, on the
+    # samples and one ulp either side of the support's boundary: the sphere
+    # itself, the circle and ellipse as images of the unit circle, and the
+    # square's edges.
+    t = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+    c, s = np.cos(t), np.sin(t)
+    if isinstance(model, SphericalCopula):
+        rim = pts[:256]
+    elif isinstance(model, EllipticalCopula):
+        rim = np.column_stack((c, c * math.sin(model.gamma) + s * math.cos(model.gamma)))
+    elif isinstance(model, NonlinearDiskCopula):
+        rim = np.column_stack((c, s)) / np.maximum(np.abs(c), np.abs(s))[:, None]
+    else:
+        rim = np.column_stack((c, s))
+    probes = (pts, np.nextafter(rim, 0.0), np.nextafter(rim, np.copysign(np.inf, rim)))
+    for probe, tol in product(probes, (1e-12, 0.0)):
+        expected = [model.in_support(*p, tol=tol) for p in probe.tolist()]
+        assert model.in_support(*probe.T, tol=tol).tolist() == expected
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.describe())

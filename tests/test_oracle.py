@@ -437,6 +437,8 @@ def test_ks_uniform_validation():
     with pytest.raises(DomainError):
         ks_uniform(np.zeros(50))
     with pytest.raises(DomainError):
+        ks_uniform(0.5)
+    with pytest.raises(DomainError):
         ks_uniform(np.linspace(-2.0, 1.0, 200))
     # NaN sorts last and compares False with 1.0.
     with pytest.raises(DomainError):
@@ -479,9 +481,9 @@ def test_verify_suite_inventory():
     # tolerances are left out because some derive from the samples.
     rep = verify_suite(VerifyConfig(seed=7, **SMALL))
     inventory = json.dumps([(c.name, c.model, c.input) for c in rep.checks])
-    assert len(rep.checks) == 103
+    assert len(rep.checks) == 102
     assert hashlib.sha256(inventory.encode()).hexdigest() == (
-        "87994ed6b7b8b0e65a4437c2812c3df586b2e770372480334a86aa96948dd32e"
+        "870cf0d6554ce920bbe7c64968674f334a67c1d9dd77120464fd50be86028564"
     )
 
 
