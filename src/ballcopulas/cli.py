@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import functools
 import json
 import math
 import sys
@@ -187,7 +188,9 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser as it found it.
     parser = argparse.ArgumentParser(
         prog="ballcop",
         description="Closed-form disk/ball/sphere copulas: grid evaluation, "

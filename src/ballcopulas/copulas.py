@@ -207,19 +207,29 @@ def nonlinear_forward(x: float, y: float) -> tuple[float, float]:
         raise DomainError(
             f"nonlinear_forward: ({x!r}, {y!r}) not in the open unit disk"
         )
-    return x / math.sqrt(1.0 - y * y), y / math.sqrt(1.0 - x * x)
+    return _nonlinear_forward(x, y)
 
 
 def nonlinear_inverse(u: float, v: float) -> tuple[float, float]:
     """Inverse of :func:`nonlinear_forward`; rejected at the four corners
     ``(+-1, +-1)`` where the expression degenerates to 0/0."""
     _check_square(u, v, "nonlinear_inverse")
+    if u * u == 1.0 and v * v == 1.0:
+        raise DomainError("nonlinear_inverse is undefined at the corners (+-1, +-1)")
+    return _nonlinear_inverse(u, v)
+
+
+def _nonlinear_forward(x, y, sqrt=math.sqrt):
+    # (x/sqrt(1-y^2), y/sqrt(1-x^2)) on floats or arrays.
+    return x / sqrt(1.0 - y * y), y / sqrt(1.0 - x * x)
+
+
+def _nonlinear_inverse(u, v, sqrt=math.sqrt):
+    # (u*sqrt(1-v^2), v*sqrt(1-u^2)) / sqrt(1-u^2 v^2) on floats or arrays.
     a = u * u
     b = v * v
-    if a == 1.0 and b == 1.0:
-        raise DomainError("nonlinear_inverse is undefined at the corners (+-1, +-1)")
-    den = math.sqrt(1.0 - a * b)
-    return u * math.sqrt(1.0 - b) / den, v * math.sqrt(1.0 - a) / den
+    den = sqrt(1.0 - a * b)
+    return u * sqrt(1.0 - b) / den, v * sqrt(1.0 - a) / den
 
 
 def nonlinear_pdf(u: float, v: float) -> float:
@@ -287,8 +297,13 @@ def nonlinear_cdf(u: float, v: float) -> float:
 # model classes
 # ---------------------------------------------------------------------------
 
+def _is_integer(value) -> bool:
+    # An int or a numpy integer, and not a bool, which is an int in Python.
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_seed(seed: int) -> None:
-    if not isinstance(seed, (int, np.integer)):
+    if not _is_integer(seed):
         raise DomainError(f"seed must be an integer, got {seed!r}")
     if not 0 <= int(seed) < 2**64:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
@@ -358,7 +373,7 @@ class SampleBatch:
 def _sample(model: CopulaModel, n: int, seed: int, draw) -> SampleBatch:
     # The contract every sampler shares: a checked size, one seeded stream,
     # and the model's exact draw clipped to the cube in place.
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise DomainError(f"sample size must be a positive integer, got {n!r}")
     points = draw(_make_rng(seed), n)
     np.clip(points, -1.0, 1.0, out=points)
@@ -397,9 +412,7 @@ def _nonlinear_points(rng: np.random.Generator, n: int) -> np.ndarray:
     # rescaling u = x/sqrt(1-y^2), v = y/sqrt(1-x^2).
     theta = rng.uniform(0.0, _TWO_PI, n)
     r = np.sqrt(rng.uniform(0.0, 1.0, n))
-    x = r * np.cos(theta)
-    y = r * np.sin(theta)
-    return np.column_stack((x / np.sqrt(1.0 - y * y), y / np.sqrt(1.0 - x * x)))
+    return np.column_stack(_nonlinear_forward(r * np.cos(theta), r * np.sin(theta), np.sqrt))
 
 
 @dataclass(frozen=True)
@@ -499,6 +512,9 @@ class EllipticalCopula(CopulaModel):
 
     def __post_init__(self) -> None:
         _check_gamma(self.gamma)
+        # A Python float, so that describe() names the angle alike however
+        # it was given.
+        object.__setattr__(self, "gamma", float(self.gamma))
 
     def pdf(self, u: float, v: float) -> float:
         return elliptical_pdf(self.gamma, u, v)

@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Callable, ClassVar, Iterable, Iterator
 
 import numpy as np
@@ -39,16 +39,17 @@ from .copulas import (
     SampleBatch,
     SphericalCopula,
     cdf_volume,
-    circular_cdf,
     circular_survival,
     evaluate,
-    nonlinear_forward,
-    nonlinear_inverse,
-    spherical_cdf,
     spherical_survival,
+    _alpha_array,
+    _alpha_gamma_array,
     _check_seed,
     _corner_sum,
+    _is_integer,
     _make_rng,
+    _nonlinear_forward,
+    _nonlinear_inverse,
 )
 from .errors import (
     DimensionError,
@@ -57,9 +58,7 @@ from .errors import (
     OracleInconsistencyError,
     QuadratureError,
 )
-from .special_math import (
-    _HALF_PI, _TWO_PI, alpha, alpha_gamma, cap_intersection_area, delta3, h_identity,
-)
+from .special_math import _HALF_PI, _TWO_PI, _delta3, alpha, cap_intersection_area, h_identity
 
 __all__ = [
     "DEFAULT_QUADRATURE",
@@ -126,10 +125,11 @@ def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-def _panels(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # Gauss-Legendre value of each panel [lo[i], hi[i]].  A panel's nodes
-    # are those a call for it alone would use, and each panel is reduced by
-    # its own np.dot: one matrix product over all panels rounds differently.
+def _panels(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    # Gauss-Legendre value of each panel [lo[i], hi[i]] of integral
+    # owner[i].  A panel's nodes are those a call for it alone would use,
+    # and each panel is reduced by its own dot product: one matrix product
+    # over all panels rounds differently.
     nodes, weights = _gl_nodes()
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -138,8 +138,9 @@ def _panels(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     for start in range(0, lo.size, step):
         chunk = slice(start, start + step)
         points = mid[chunk, None] + half[chunk, None] * nodes
-        values = np.asarray(f(points.ravel()), float).reshape(points.shape)
-        sums[chunk] = [np.dot(weights, row) for row in values]
+        values = f(points.ravel(), np.repeat(owner[chunk], _GL_ORDER))
+        values = np.asarray(values, float).reshape(points.shape)
+        sums[chunk] = list(map(weights.dot, values))
     return half * sums
 
 
@@ -161,22 +162,42 @@ def integrate_adaptive(
     must act element by element.  The accepted panels are summed in
     depth-first order, right half first, which is by descending lower
     limit.  So the panel tree, the result and any :class:`QuadratureError`
-    are those of refining one panel per call.
+    are those of refining one panel per call.  This is the batch of one of
+    the level loop that the oracles below run over many integrals at once.
     """
-    spec = spec or DEFAULT_QUADRATURE
-    edges = [a, *points, b]
-    if not all(math.isfinite(e) for e in edges):
+    return _integrate_many(lambda s, k: f(s), [a], [b], spec or DEFAULT_QUADRATURE, [points])[0]
+
+
+def _integrate_many(f, a, b, spec: QuadratureSpec, points) -> list[float]:
+    # integrate_adaptive over [a[k], b[k]] with kinks points[k] for every k,
+    # in one level loop: f(s, k) gets the integral index k of each point s.
+    # A panel is accepted against its own integral's share of abs_tol, and
+    # each integral's accepted panels are summed by descending lower limit,
+    # so every integral has the bits of a batch of one.  max_subdivisions
+    # caps the panels of the whole batch, so memory stays that of one
+    # integral however many the batch holds.
+    a, b, points = list(a), list(b), [list(p) for p in points]
+    if not all(math.isfinite(e) for e in chain(a, b, *points)):
         raise DomainError("integration limits and points must be finite")
-    if b <= a:
-        return 0.0
-    full = b - a
-    # A set drops repeated points so that no first panel has zero width;
-    # -0.0 equals 0.0, and which of the two stays moves no panel's nodes.
-    edges = np.array([a, *sorted({p for p in edges[1:-1] if a < p < b}), b], float)
-    lo, hi = edges[:-1], edges[1:]
-    whole = _panels(f, lo, hi)
+    lo, hi, owner = [], [], []
+    for k, (start, stop, inside) in enumerate(zip(a, b, points)):
+        if stop <= start:
+            continue
+        # A set drops repeated points so that no first panel has zero width;
+        # -0.0 equals 0.0, and which of the two stays moves no panel's nodes.
+        edges = [start, *sorted({p for p in inside if start < p < stop}), stop]
+        lo += edges[:-1]
+        hi += edges[1:]
+        owner += [k] * (len(edges) - 1)
+    totals = [0.0] * len(a)
+    if not owner:
+        return totals
+    full = np.array(b, float) - np.array(a, float)
+    # 32-bit integral indices: a level at the panel cap holds 2^19 of them.
+    lo, hi, owner = np.array(lo, float), np.array(hi, float), np.array(owner, np.int32)
+    whole = _panels(f, lo, hi, owner)
     evaluations = lo.size
-    accepted_lo, accepted = [], []
+    accepted_lo, accepted_owner, accepted = [], [], []
     while lo.size:
         evaluations += 2 * lo.size
         if evaluations > spec.max_subdivisions:
@@ -185,26 +206,29 @@ def integrate_adaptive(
                 f"{spec.max_subdivisions} panel evaluations"
             )
         mid = 0.5 * (lo + hi)
-        halves = _panels(f, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+        pair = np.concatenate((owner, owner))
+        halves = _panels(f, np.concatenate((lo, mid)), np.concatenate((mid, hi)), pair)
         left, right = halves[:lo.size], halves[lo.size:]
         refined = left + right
         width = hi - lo
-        # Per-panel budget proportional to width keeps the summed error
-        # below abs_tol; the width floor stops infinite refinement at
-        # integrable endpoint singularities.
-        done = (np.abs(refined - whole) <= spec.abs_tol * (width / full)) | (
+        # Per-panel budget proportional to width keeps each integral's
+        # summed error below abs_tol; the width floor stops infinite
+        # refinement at integrable endpoint singularities.
+        done = (np.abs(refined - whole) <= spec.abs_tol * (width / full[owner])) | (
             width <= 16.0 * np.spacing(np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0))
         )
         accepted_lo.append(lo[done])
+        accepted_owner.append(owner[done])
         accepted.append(refined[done])
         split = ~done
         lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
+        owner = pair[np.concatenate((split, split))]
         whole = np.concatenate((left[split], right[split]))
-    order = np.argsort(np.concatenate(accepted_lo))[::-1]
-    total = 0.0
-    for value in np.concatenate(accepted)[order].tolist():
-        total += value
-    return total
+    owner = np.concatenate(accepted_owner)
+    order = np.lexsort((-np.concatenate(accepted_lo), owner))
+    for k, value in zip(owner[order].tolist(), np.concatenate(accepted)[order].tolist()):
+        totals[k] += value
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -228,31 +252,34 @@ def quad_survival_circular(
     margin of the uniform sphere is the circular law.  Independent of the
     closed form, so it serves as its oracle.
     """
-    spec = spec or DEFAULT_QUADRATURE
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise DomainError(f"quad_survival_circular: ({x!r}, {y!r}) outside [0, 1]^2")
-    if not x * x + y * y < 1.0:
-        raise DomainError("quad_survival_circular requires x^2 + y^2 < 1")
-    return 2.0 * _quad_survival_spherical_one(x, y, 0.0, spec)
+    return _circular_tails([(x, y)], spec or DEFAULT_QUADRATURE)[0]
 
 
-def _quad_survival_spherical_one(
-    x: float, y: float, z: float, spec: QuadratureSpec
-) -> float:
-    hi = math.sqrt(1.0 - y * y - z * z) - _ENDPOINT_PULL
-    if hi <= x:
-        return 0.0
+def _circular_tails(points, spec: QuadratureSpec) -> list[float]:
+    # quad_survival_circular at every (x, y) of points, as one batch.
+    for x, y in points:
+        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+            raise DomainError(f"quad_survival_circular: ({x!r}, {y!r}) outside [0, 1]^2")
+        if not x * x + y * y < 1.0:
+            raise DomainError("quad_survival_circular requires x^2 + y^2 < 1")
+    return [2.0 * v for v in _tail_integrals([(x, y, 0.0) for x, y in points], spec)]
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, float)
+
+def _tail_integrals(points, spec: QuadratureSpec) -> list[float]:
+    # The x-first tail integral, over 4*pi, at every (x, y, z) of points, as
+    # one batch; an integral whose upper limit falls to x or below is 0.0.
+    x, y, z = np.array(points, float).reshape(-1, 3).T
+
+    def integrand(s: np.ndarray, k: np.ndarray) -> np.ndarray:
         root = np.sqrt(1.0 - s * s)
         return (
             0.5 * np.pi
-            - np.arcsin(np.clip(y / root, -1.0, 1.0))
-            - np.arcsin(np.clip(z / root, -1.0, 1.0))
+            - np.arcsin(np.clip(y[k] / root, -1.0, 1.0))
+            - np.arcsin(np.clip(z[k] / root, -1.0, 1.0))
         )
 
-    return integrate_adaptive(integrand, x, hi, spec) / _FOUR_PI
+    hi = np.sqrt(1.0 - y * y - z * z) - _ENDPOINT_PULL
+    return [v / _FOUR_PI for v in _integrate_many(integrand, x.tolist(), hi.tolist(), spec, [()] * x.size)]
 
 
 def quad_survival_spherical(
@@ -262,9 +289,9 @@ def quad_survival_spherical(
 
     Evaluates ``(1/(4*pi)) * integral_x^{sqrt(1-y^2-z^2)} [pi/2
     - arcsin(y/sqrt(1-s^2)) - arcsin(z/sqrt(1-s^2))] ds``.  The integral is
-    exchangeable in ``(x, y, z)``; all six argument orders are evaluated and
-    must agree within ``10 * abs_tol``, otherwise
-    :class:`OracleInconsistencyError` is raised.
+    exchangeable in ``(x, y, z)``; all six argument orders are evaluated, as
+    one batch under one panel cap, and must agree within ``10 * abs_tol``,
+    otherwise :class:`OracleInconsistencyError` is raised.
     """
     spec = spec or DEFAULT_QUADRATURE
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 and 0.0 <= z <= 1.0):
@@ -273,10 +300,7 @@ def quad_survival_spherical(
         )
     if not x * x + y * y + z * z < 1.0:
         raise DomainError("quad_survival_spherical requires x^2 + y^2 + z^2 < 1")
-    values = [
-        _quad_survival_spherical_one(p, q, r, spec)
-        for (p, q, r) in permutations((x, y, z))
-    ]
+    values = _tail_integrals(list(permutations((x, y, z))), spec)
     if max(values) - min(values) > 10.0 * spec.abs_tol:
         raise OracleInconsistencyError(
             f"permutations of the tail integral disagree: spread "
@@ -289,41 +313,37 @@ def quad_survival_spherical(
 # density mass over rectangles
 # ---------------------------------------------------------------------------
 
-def _inner_mass_elliptical(sg: float, cg: float, t_lo: float, t_hi: float):
-    def inner(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, float)
+def _inner_mass_elliptical(sg: float, cg: float, t_lo: np.ndarray, t_hi: np.ndarray):
+    def inner(s: np.ndarray, k: np.ndarray) -> np.ndarray:
         w = cg * np.sqrt(np.maximum(1.0 - s * s, 0.0))
         wsafe = np.maximum(w, 1e-300)
         center = s * sg
-        hi = np.clip((t_hi - center) / wsafe, -1.0, 1.0)
-        lo = np.clip((t_lo - center) / wsafe, -1.0, 1.0)
+        hi = np.clip((t_hi[k] - center) / wsafe, -1.0, 1.0)
+        lo = np.clip((t_lo[k] - center) / wsafe, -1.0, 1.0)
         return (np.arcsin(hi) - np.arcsin(lo)) / _TWO_PI
 
     return inner
 
 
-def _nonlinear_antiderivative(s: np.ndarray, v: float) -> np.ndarray:
+def _nonlinear_antiderivative(s: np.ndarray, v) -> np.ndarray:
     # Antiderivative in the second coordinate of the nonlinear density at
-    # fixed first coordinate s:
+    # fixed first coordinate s, for v in [-1, 1] (a float, or an array that
+    # broadcasts with s):
     #   H(s, v) = [ sqrt(1-s^2) * v * sqrt(1-v^2) / (2 * (1 - s^2 v^2))
     #               + arctan(sqrt(1-s^2) * v / sqrt(1-v^2)) / 2 ] / pi,
     # verified by differentiation and, in the tests, against raw quadrature
-    # of the density.
-    if v >= 1.0:
-        return np.full_like(s, 0.25)
-    if v <= -1.0:
-        return np.full_like(s, -0.25)
+    # of the density.  At v = +-1 it is +-1/4.
     root = np.sqrt(np.maximum(1.0 - s * s, 0.0))
-    cv = math.sqrt(1.0 - v * v)
-    term1 = root * (v * cv) / (2.0 * (1.0 - s * s * v * v))
+    cv = np.sqrt(1.0 - v * v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term1 = root * (v * cv) / (2.0 * (1.0 - s * s * v * v))
     term2 = 0.5 * np.arctan2(root * v, cv)
-    return (term1 + term2) / math.pi
+    return np.where(v >= 1.0, 0.25, np.where(v <= -1.0, -0.25, (term1 + term2) / math.pi))
 
 
-def _inner_mass_nonlinear(t_lo: float, t_hi: float):
-    def inner(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, float)
-        return _nonlinear_antiderivative(s, t_hi) - _nonlinear_antiderivative(s, t_lo)
+def _inner_mass_nonlinear(t_lo: np.ndarray, t_hi: np.ndarray):
+    def inner(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return _nonlinear_antiderivative(s, t_hi[k]) - _nonlinear_antiderivative(s, t_lo[k])
 
     return inner
 
@@ -333,7 +353,7 @@ def _support_kinks(sg: float, cg: float, t_lo: float, t_hi: float) -> list[float
     # rectangle meets the support ellipse, at s = t*sin(gamma) +-
     # cos(gamma)*sqrt(1 - t^2).  The two kinks of an edge coincide where it
     # is tangent to the support, and kinks of both edges where they sit at
-    # the same |t|; integrate_adaptive drops repeats and kinks outside.
+    # the same |t|; the integrator drops repeats and kinks outside.
     kinks = []
     for t in (t_lo, t_hi):
         if abs(t) < 1.0:
@@ -355,28 +375,33 @@ def quad_mass_2d(
     panels of the whole rectangle.  Rejected for the spherical model, which
     has no Lebesgue density.
     """
-    spec = spec or DEFAULT_QUADRATURE
+    return _rect_masses(model, [rect], spec or DEFAULT_QUADRATURE)[0]
+
+
+def _rect_masses(model: CopulaModel, rects: list[Rectangle], spec: QuadratureSpec) -> list[float]:
+    # quad_mass_2d of every rectangle, as one batch; an empty rectangle is
+    # an empty interval, of mass 0.0.
     if model.dim != 2:
         raise NotAbsolutelyContinuousError(
             "quad_mass_2d requires a two-dimensional model with a density"
         )
-    if rect.dim != 2:
+    if any(rect.dim != 2 for rect in rects):
         raise DomainError("quad_mass_2d requires a two-dimensional rectangle")
-    (s_lo, t_lo), (s_hi, t_hi) = rect.lower, rect.upper
-    if s_hi <= s_lo or t_hi <= t_lo:
-        return 0.0
+    s_lo, t_lo = np.array([rect.lower for rect in rects], float).reshape(-1, 2).T
+    s_hi, t_hi = np.array([rect.upper for rect in rects], float).reshape(-1, 2).T
     if isinstance(model, (CircularCopula, EllipticalCopula)):
         # The circular model is the sheared one at gamma = 0.
         gamma = getattr(model, "gamma", 0.0)
         sg, cg = math.sin(gamma), math.cos(gamma)
         inner = _inner_mass_elliptical(sg, cg, t_lo, t_hi)
-        kinks = _support_kinks(sg, cg, t_lo, t_hi)
+        kinks = [_support_kinks(sg, cg, lo, hi) for lo, hi in zip(t_lo.tolist(), t_hi.tolist())]
     elif isinstance(model, NonlinearDiskCopula):
         inner = _inner_mass_nonlinear(t_lo, t_hi)
-        kinks = []
+        kinks = [()] * len(rects)
     else:
         raise NotAbsolutelyContinuousError(f"unsupported model {model.name!r}")
-    return integrate_adaptive(inner, s_lo, s_hi, spec, kinks)
+    stop = np.where(t_hi > t_lo, s_hi, s_lo)
+    return _integrate_many(inner, s_lo.tolist(), stop.tolist(), spec, kinks)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +554,7 @@ class VerifyConfig:
         # Integer types, so that NaN or a fraction cannot slip past the bounds.
         for name in ("n_samples", "mc_n", "rect_count", "mass_rect_count"):
             count = getattr(self, name)
-            if not isinstance(count, (int, np.integer)):
+            if not _is_integer(count):
                 raise DomainError(f"{name} must be an integer, got {count!r}")
         if self.n_samples < 1000 or self.mc_n < 1000:
             raise DomainError("verification needs at least 1000 samples")
@@ -555,18 +580,30 @@ def _max_gap(pairs: Iterable[tuple[float, float]]) -> float:
     return max((abs(f - g) for f, g in pairs), default=0.0)
 
 
-def _spherical_inclusion_exclusion(x: float, y: float, z: float) -> float:
+def _gap(values: np.ndarray, targets: np.ndarray) -> float:
+    # _max_gap of two arrays that broadcast, element by element.
+    return float(np.max(np.abs(values - targets), initial=0.0))
+
+
+def _grid(*axes) -> list[np.ndarray]:
+    # Every point of the grid over axes, one flat array per coordinate: the
+    # alpha kernels take flat arrays of one length.
+    return [t.ravel() for t in np.meshgrid(*axes, indexing="ij")]
+
+
+def _spherical_inclusion_exclusion(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     # P[X > x, Y > y, Z > z] of the spherical model from the marginals, the
     # pairwise (circular) CDFs and the joint CDF, unclamped.
+    circle = partial(evaluate, CircularCopula(), "cdf")
     return (
         1.0
         - (x + 1.0) / 2.0
         - (y + 1.0) / 2.0
         - (z + 1.0) / 2.0
-        + circular_cdf(x, y)
-        + circular_cdf(x, z)
-        + circular_cdf(y, z)
-        - spherical_cdf(x, y, z)
+        + circle(x, y)
+        + circle(x, z)
+        + circle(y, z)
+        - evaluate(SphericalCopula(), "cdf", x, y, z)
     )
 
 
@@ -590,48 +627,46 @@ def _random_rectangles(rng: np.random.Generator, count: int, dim: int) -> list[R
 def _scalar_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tuple]:
     """The special_math invariants, and alpha against its tail integral."""
     square = np.linspace(-0.95, 0.95, 19)
-    disk = [(x, y) for x in square for y in square if x * x + y * y < 1.0]
-    flips = (
-        (alpha(ex * abs(x), ey * abs(y)), ex * ey * base)
-        for x, y in disk
-        for base in [alpha(abs(x), abs(y))]
-        for ex in (-1, 1)
-        for ey in (-1, 1)
+    x, y = _grid(square, square)
+    disk = x * x + y * y < 1.0
+    x, y = np.abs(x[disk]), np.abs(y[disk])
+    base = _alpha_array(x, y)
+    gap = max(
+        _gap(_alpha_array(ex * x, ey * y), ex * ey * base) for ex in (-1, 1) for ey in (-1, 1)
     )
-    yield "alpha_sign_equivariance", "-", "19x19 interior grid", _max_gap(flips), 0.0, 1e-12
+    yield "alpha_sign_equivariance", "-", "19x19 interior grid", gap, 0.0, 1e-12
 
-    thetas = (np.arange(200) + 0.5) * (_HALF_PI / 200)
+    # The circle points take math.cos and math.sin, which np.cos and
+    # np.sin may miss by an ulp.
+    thetas = ((np.arange(200) + 0.5) * (_HALF_PI / 200)).tolist()
+    x = np.fromiter(map(math.cos, thetas), float, len(thetas))
+    y = np.fromiter(map(math.sin, thetas), float, len(thetas))
     shrink = 1.0 - 1e-10
-    gap = _max_gap(
-        (alpha(shrink * math.cos(t), shrink * math.sin(t)), alpha(math.cos(t), math.sin(t)))
-        for t in thetas
-    )
+    gap = _gap(_alpha_array(shrink * x, shrink * y), _alpha_array(x, y))
     yield "alpha_boundary_continuity", "-", "200 circle points", gap, 0.0, 1e-9
 
     edge = np.linspace(-1.0, 1.0, 41)
-    gap = _max_gap((alpha(float(x), 1.0), x / 4.0) for x in edge)
+    gap = _gap(_alpha_array(edge, np.ones_like(edge)), edge / 4.0)
     yield "alpha_unit_edge", "-", "x in [-1, 1], y = 1", gap, 0.0, 1e-12
 
-    axis = edge.tolist()
-    gap = _max_gap((alpha_gamma(0.0, u, v), alpha(u, v)) for u in axis for v in axis)
+    u, v = _grid(edge, edge)
+    gap = _gap(_alpha_gamma_array(0.0, u, v), _alpha_array(u, v))
     yield "alpha_gamma_zero_reduction", "-", "41x41 grid", gap, 0.0, 1e-12
 
-    axis = np.linspace(-1.0, 1.0, 21).tolist()
+    axis = np.linspace(-1.0, 1.0, 21)
+    u, v = _grid(axis, axis)
     for g in _GAMMAS:
-        gap = _max_gap(
-            (alpha_gamma(-g, -u, v), -alpha_gamma(g, u, v)) for u in axis for v in axis
-        )
+        gap = _gap(_alpha_gamma_array(-g, -u, v), -_alpha_gamma_array(g, u, v))
         model = f"elliptical(gamma={g!r})"
         yield "alpha_gamma_negation_symmetry", model, "21x21 grid", gap, 0.0, 1e-12
 
+    # Each of the six argument orders of every triple, in the order of
+    # permutations(); the first is the triple itself.
     triples = _rng(cfg, 1).uniform(-1.0, 1.0, (200, 3))
-    perms = (
-        (delta3(*q), base)
-        for p in triples
-        for base in [delta3(*p)]
-        for q in permutations(p)
-    )
-    yield "delta3_permutation_bitwise", "-", "200 random triples", _max_gap(perms), 0.0, 0.0
+    x, y, z = np.concatenate([triples[:, list(q)] for q in permutations(range(3))]).T
+    pairs = _alpha_array(y, z), _alpha_array(x, z), _alpha_array(x, y)
+    values = _delta3(x, y, z, pairs, np.choose).reshape(6, -1)
+    yield "delta3_permutation_bitwise", "-", "200 random triples", _gap(values, values[0]), 0.0, 0.0
 
     axis = np.linspace(0.01, 0.70, 50).tolist()
     gap = _max_gap((h_identity(x, y), _HALF_PI) for x in axis for y in axis)
@@ -666,21 +701,19 @@ def _scalar_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tup
     )
     yield "cap_area_vs_circular_survival", "circular", "100 random points", gap, 0.0, 1e-9
 
-    for x, y in ((0.3, 0.4), (0.1, 0.7), (0.5, 0.2), (0.45, 0.55), (0.05, 0.05)):
-        oracle_val = quad_survival_circular(x, y, cfg.quadrature) - (1.0 - x - y) / 4.0
+    points = ((0.3, 0.4), (0.1, 0.7), (0.5, 0.2), (0.45, 0.55), (0.05, 0.05))
+    for (x, y), tail in zip(points, _circular_tails(points, cfg.quadrature)):
+        oracle_val = tail - (1.0 - x - y) / 4.0
         yield "alpha_vs_integral", "circular", [x, y], cfg.alpha_fn(x, y), oracle_val, 1e-8
 
 
 def _model_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tuple]:
     """The copula properties of each model's closed forms."""
-    grid = np.linspace(-1.0, 1.0, 41).tolist()
+    grid = np.linspace(-1.0, 1.0, 41)
     for m in models:
-        edges = (
-            (m.cdf(*(t if j == k else 1.0 for j in range(m.dim))), (t + 1.0) / 2.0)
-            for t in grid
-            for k in range(m.dim)
-        )
-        yield "uniform_marginals", m.describe(), "41-point edge grids", _max_gap(edges), 0.0, 1e-12
+        edges = (evaluate(m, "cdf", *(grid if j == k else 1.0 for j in range(m.dim))) for k in range(m.dim))
+        gap = max(_gap(values, (grid + 1.0) / 2.0) for values in edges)
+        yield "uniform_marginals", m.describe(), "41-point edge grids", gap, 0.0, 1e-12
 
     for m in models:
         values = evaluate(m, "cdf", *np.meshgrid(*[grid] * m.dim, indexing="ij", sparse=True))
@@ -693,64 +726,68 @@ def _model_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tupl
         yield "cdf_range_and_monotonicity", m.describe(), "41-per-axis grid", violation, 0.0, 1e-12
 
     for i, m in enumerate(models):
+        # Every corner of every rectangle in one evaluate: axis k of the mesh
+        # holds the lower and the upper value of coordinate k, and the last
+        # axis the rectangles, so the spherical pair alphas are taken once
+        # per distinct pair.  The corner sum takes the corners by index.
         lows, highs = _random_corners(_rng(cfg, 10 + i), cfg.rect_count, m.dim)
-        masses = _corner_sum(partial(evaluate, m, "cdf"), lows.T, highs.T)
+        mesh = [
+            np.stack((lo, hi)).reshape(*(2 if j == k else 1 for j in range(m.dim)), -1)
+            for k, (lo, hi) in enumerate(zip(lows.T, highs.T))
+        ]
+        values = evaluate(m, "cdf", *mesh)
+        masses = _corner_sum(lambda *bits: values[bits], (0,) * m.dim, (1,) * m.dim)
         least = min(_first_min(masses), 0.0)
         count = f"{cfg.rect_count} random rectangles"
         yield "rect_mass_nonnegative", m.describe(), count, least, 0.0, 1e-12
 
-    axis = np.linspace(-1.0, 1.0, 21).tolist()
+    u, v = np.meshgrid(*[np.linspace(-1.0, 1.0, 21)] * 2, indexing="ij", sparse=True)
     for g in _GAMMAS:
         m = EllipticalCopula(g)
-        gap = _max_gap((m.cdf(u, v) - (u + v) / 2.0, m.cdf(-u, -v)) for u in axis for v in axis)
+        gap = _gap(evaluate(m, "cdf", u, v) - (u + v) / 2.0, evaluate(m, "cdf", -u, -v))
         yield "elliptical_point_symmetry", m.describe(), "21x21 grid", gap, 0.0, 1e-12
 
-    gap = _max_gap((circular_survival(x, y), circular_cdf(-x, -y)) for x in axis for y in axis)
+    circle, sphere = CircularCopula(), SphericalCopula()
+    gap = _gap(evaluate(circle, "survival", u, v), evaluate(circle, "cdf", -u, -v))
     yield "circular_survival_reflection", "circular", "21x21 grid", gap, 0.0, 0.0
 
-    gap = _max_gap((spherical_cdf(x, y, 1.0), circular_cdf(x, y)) for x in grid for y in grid)
+    x, y = np.meshgrid(grid, grid, indexing="ij", sparse=True)
+    gap = _gap(evaluate(sphere, "cdf", x, y, 1.0), evaluate(circle, "cdf", x, y))
     yield "spherical_margin_collapse", "spherical", "41x41 grid", gap, 0.0, 1e-12
 
-    rng = _rng(cfg, 4)
-    triples = [rng.uniform(-1.0, 1.0, 3) for _ in range(100)]
-    perms = (
-        (spherical_cdf(*q), base)
-        for p in triples
-        for base in [spherical_cdf(*p)]
-        for q in permutations(p)
-    )
-    gap = _max_gap(perms)
+    # One draw of 100 triples is the stream of 100 draws of three.
+    triples = _rng(cfg, 4).uniform(-1.0, 1.0, (100, 3))
+    perms = np.concatenate([triples[:, list(q)] for q in permutations(range(3))])
+    values = evaluate(sphere, "cdf", *perms.T).reshape(6, -1)
+    gap = _gap(values, values[0])
     yield "spherical_exchangeability", "spherical", "100 random triples", gap, 0.0, 1e-12
 
-    rng = _rng(cfg, 5)
-    octant = [rng.uniform(0.0, 0.57, 3) for _ in range(100)]
-    gap = _max_gap(
-        (spherical_survival(*p), _spherical_inclusion_exclusion(*p)) for p in octant
-    )
+    # The octant points lie inside the ball (3 * 0.57^2 < 1), where
+    # spherical_survival is the survival kernel.
+    x, y, z = _rng(cfg, 5).uniform(0.0, 0.57, (100, 3)).T
+    gap = _gap(evaluate(sphere, "survival", x, y, z), _spherical_inclusion_exclusion(x, y, z))
     where = "100 first-octant points"
     yield "spherical_survival_inclusion_exclusion", "spherical", where, gap, 0.0, 1e-12
 
     # One draw of 10^4 pairs is the stream of 2 * 10^4 scalar draws, in the
-    # same order: rng.uniform(0, h) is h * rng.random().
+    # same order: rng.uniform(0, h) is h * rng.random().  The disk points
+    # take math.cos and math.sin, as the circle points above do.
     u = _rng(cfg, 6).random((10**4, 2))
-    radius = np.sqrt(0.999 * u[:, 0]).tolist()
+    radius = np.sqrt(0.999 * u[:, 0])
     angle = (_TWO_PI * u[:, 1]).tolist()
-    disk = [(r * math.cos(t), r * math.sin(t)) for r, t in zip(radius, angle)]
-    gap = _max_gap(
-        pair for p in disk for pair in zip(nonlinear_inverse(*nonlinear_forward(*p)), p)
-    )
+    x = radius * np.fromiter(map(math.cos, angle), float, len(angle))
+    y = radius * np.fromiter(map(math.sin, angle), float, len(angle))
+    back = _nonlinear_inverse(*_nonlinear_forward(x, y, np.sqrt), np.sqrt)
+    gap = max(_gap(back[0], x), _gap(back[1], y))
     yield "nonlinear_round_trip", "nonlinear", "10000 random disk points", gap, 0.0, 1e-12
 
-    axis = np.linspace(-1.0, 1.0, 31).tolist()
+    x, y = np.meshgrid(*[np.linspace(-1.0, 1.0, 31)] * 2, indexing="ij", sparse=True)
     for m in models:
         if m.dim == 2:
-            bad = sum(
-                (m.in_support(x, y, tol=-1e-9) and val <= 0.0)
-                + (not m.in_support(x, y, tol=1e-9) and val != 0.0)
-                for x in axis
-                for y in axis
-                for val in [m.pdf(x, y)]
-            )
+            val = evaluate(m, "pdf", x, y)
+            zero_inside = m.in_support(x, y, tol=-1e-9) & (val <= 0.0)
+            nonzero_outside = ~m.in_support(x, y, tol=1e-9) & (val != 0.0)
+            bad = np.count_nonzero(zero_inside) + np.count_nonzero(nonzero_outside)
             yield "density_support", m.describe(), "31x31 grid", float(bad), 0.0, 0.0
 
 
@@ -831,30 +868,23 @@ def _quadrature_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator
     against the samples."""
     spec = cfg.quadrature
     rng = _rng(cfg, 9)
-    points = [rng.uniform(0.0, 0.9, 2) for _ in range(10)]
-    gap = _max_gap(
-        (circular_survival(x, y), quad_survival_circular(x, y, spec))
-        for x, y in points
-        if x * x + y * y < 0.995
-    )
+    points = [(x, y) for x, y in (rng.uniform(0.0, 0.9, 2) for _ in range(10)) if x * x + y * y < 0.995]
+    closed = [circular_survival(x, y) for x, y in points]
+    gap = _max_gap(zip(closed, _circular_tails(points, spec)))
     yield "quad_survival_circular_vs_closed", "circular", "10 random points", gap, 0.0, 1e-8
 
-    gap = _max_gap(
-        (quad_survival_circular(x, 0.0, spec), (1.0 - x) / 4.0)
-        for x in np.linspace(0.0, 0.9, 10).tolist()
-    )
+    axis = np.linspace(0.0, 0.9, 10).tolist()
+    tails = _circular_tails([(x, 0.0) for x in axis], spec)
+    gap = _max_gap(zip(tails, ((1.0 - x) / 4.0 for x in axis)))
     yield "quad_survival_circular_on_axis", "circular", "x in [0, 0.9], y = 0", gap, 0.0, 1e-8
 
     rng = _rng(cfg, 11)
     points = [rng.uniform(0.05, 0.55, 3) for _ in range(5)]
-    perms = (
-        (closed, _quad_survival_spherical_one(*q, spec))
-        for p in points
-        for closed in [spherical_survival(*p)]
-        for q in permutations(p)
-    )
+    closed = [spherical_survival(*p) for p in points for _ in range(6)]
+    tails = _tail_integrals([q for p in points for q in permutations(p)], spec)
     where = "5 random points x 6 permutations"
-    yield "quad_survival_spherical_vs_closed", "spherical", where, _max_gap(perms), 0.0, 1e-8
+    gap = _max_gap(zip(closed, tails))
+    yield "quad_survival_spherical_vs_closed", "spherical", where, gap, 0.0, 1e-8
 
     planar = [m for m in models if m.dim == 2]
     square = Rectangle((-1.0, -1.0), (1.0, 1.0))
@@ -865,7 +895,7 @@ def _quadrature_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator
     count = f"{cfg.mass_rect_count} random rectangles"
     for i, m in enumerate(planar):
         rects = _random_rectangles(_rng(cfg, 4000 + i), cfg.mass_rect_count, 2)
-        gap = _max_gap((cdf_volume(m, r), quad_mass_2d(m, r, spec)) for r in rects)
+        gap = _max_gap(zip((cdf_volume(m, r) for r in rects), _rect_masses(m, rects, spec)))
         yield "rect_mass_vs_cdf_volume", m.describe(), count, gap, 0.0, 1e-6
 
     sph = SphericalCopula()

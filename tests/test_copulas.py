@@ -382,6 +382,21 @@ def test_sample_argument_validation():
         model.sample(10, 2**64)
 
 
+def test_sample_rejects_bool_size_and_seed():
+    # A bool is an int in Python: True would draw one point, or from seed 1.
+    model = CircularCopula()
+    for n, seed in ((True, 1), (False, 1), (10, True), (10, False)):
+        with pytest.raises(DomainError):
+            model.sample(n, seed)
+
+
+def test_elliptical_gamma_is_stored_as_float():
+    m = EllipticalCopula(np.float64(0.5))
+    assert type(m.gamma) is float
+    assert m.describe() == "elliptical(gamma=0.5)"
+    assert m == EllipticalCopula(0.5)
+
+
 def test_model_from_name():
     assert model_from_name("circular").name == "circular"
     assert model_from_name("spherical").dim == 3

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import tracemalloc
+from functools import partial
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -11,29 +13,37 @@ from ballcopulas import (
     CircularCopula,
     DomainError,
     EllipticalCopula,
+    MCEstimate,
     NonlinearDiskCopula,
     NotAbsolutelyContinuousError,
     QuadratureError,
-    MCEstimate,
     QuadratureSpec,
     Rectangle,
     SampleBatch,
     SphericalCopula,
     VerifyConfig,
     alpha,
+    alpha_gamma,
     cdf_volume,
+    circular_cdf,
     circular_survival,
+    delta3,
+    evaluate,
     integrate_adaptive,
     ks_uniform,
     mc_cdf,
     moment_check,
+    nonlinear_forward,
+    nonlinear_inverse,
     quad_mass_2d,
     quad_survival_circular,
     quad_survival_spherical,
+    spherical_cdf,
     spherical_survival,
     verify_suite,
 )
 from ballcopulas import oracle
+from ballcopulas.copulas import _corner_sum
 from ballcopulas.oracle import _GAMMAS, _nonlinear_antiderivative
 
 SURV_CIRC_03_04 = 0.094975342664564685
@@ -136,19 +146,29 @@ def reference_integrate(f, a, b, spec, points=()):
 
 @pytest.fixture
 def against_reference(monkeypatch):
-    """Route every oracle integral through both integrators, which must
-    agree bit for bit; returns the list of (a, b) integrated."""
+    """Route every oracle integral through the batch core and the reference
+    integrator, which must agree bit for bit on every integral of every
+    batch; returns the list of (a, b) integrated."""
     seen = []
+    batch_core = oracle._integrate_many
 
-    def checked(f, a, b, spec=None, points=()):
-        spec = spec or QuadratureSpec()
-        got = integrate_adaptive(f, a, b, spec, points)
-        assert got.hex() == reference_integrate(f, a, b, spec, points).hex(), (a, b, spec, points)
-        seen.append((a, b))
+    def checked(f, a, b, spec, points):
+        a, b, points = list(a), list(b), [list(p) for p in points]
+        got = batch_core(f, a, b, spec, points)
+        for k, (lo, hi, pts) in enumerate(zip(a, b, points)):
+            alone = partial(_one_integral, f, k)
+            want = reference_integrate(alone, lo, hi, spec, pts) if lo < hi else 0.0
+            assert got[k].hex() == want.hex(), (lo, hi, spec, pts)
+            seen.append((lo, hi))
         return got
 
-    monkeypatch.setattr(oracle, "integrate_adaptive", checked)
+    monkeypatch.setattr(oracle, "_integrate_many", checked)
     return seen
+
+
+def _one_integral(f, k, s):
+    # The batch integrand f(s, k) as the integrand of integral k alone.
+    return f(s, np.full(s.shape, k))
 
 
 def test_integrate_known_values_match_reference(against_reference):
@@ -173,32 +193,59 @@ def test_tail_integrals_match_reference(against_reference):
     assert len(against_reference) == 22 + 8 * 6
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        CircularCopula(),
-        *(EllipticalCopula(g) for g in (*_GAMMAS, 1.5707963, -1.5707963)),
-        NonlinearDiskCopula(),
-    ],
-    ids=lambda m: m.describe(),
-)
-def test_rectangle_mass_matches_reference(against_reference, model):
+def test_tail_batch_matches_reference(against_reference):
+    # One batch of the tail integrals above, with an empty one (the upper
+    # limit pulled below x); each equals the public oracle's value.
+    rng = np.random.default_rng(44)
+    points = [(x, y, 0.0) for x, y in rng.uniform(0.0, 0.7, (20, 2)).tolist()]
+    points += [q for p in rng.uniform(0.0, 0.57, (6, 3)).tolist() for q in permutations(p)]
+    points.append((math.nextafter(1.0, 0.0), 0.0, 0.0))
+    tails = oracle._tail_integrals(points, QuadratureSpec())
+    assert len(against_reference) == len(points)
+    assert tails[-1] == 0.0
+    for (x, y, _), tail in zip(points[:20], tails):
+        assert (2.0 * tail).hex() == quad_survival_circular(x, y).hex()
+
+
+PLANAR_MODELS = [
+    CircularCopula(),
+    *(EllipticalCopula(g) for g in (*_GAMMAS, 1.5707963, -1.5707963)),
+    NonlinearDiskCopula(),
+]
+
+
+def _reference_rects() -> list:
     rng = np.random.default_rng(45)
     a = rng.uniform(-1.0, 1.0, (12, 2))
     b = rng.uniform(-1.0, 1.0, (12, 2))
     rects = [Rectangle(tuple(lo), tuple(hi)) for lo, hi in zip(np.minimum(a, b), np.maximum(a, b))]
     # The full square, and the rectangles of the support-kink tests.
-    rects += [
+    return rects + [
         Rectangle((-1.0, -1.0), (1.0, 1.0)),
         Rectangle((-1.0, -1.0), (0.04, -0.64)),
         Rectangle((-1.0, -0.5), (1.0, 0.5)),
         Rectangle((-0.96, -0.3), (0.99, 0.3)),
         Rectangle((-1.0, -0.6), (1.0, 0.9999)),
     ]
+
+
+@pytest.mark.parametrize("model", PLANAR_MODELS, ids=lambda m: m.describe())
+def test_rectangle_mass_matches_reference(against_reference, model):
+    rects = _reference_rects()
     for rect in rects:
         quad_mass_2d(model, rect)
     # One integral per rectangle, its kinks included.
     assert len(against_reference) == len(rects)
+
+
+@pytest.mark.parametrize("model", PLANAR_MODELS, ids=lambda m: m.describe())
+def test_rectangle_batch_matches_reference(against_reference, model):
+    # The rectangles above as one batch, with a zero-width and a
+    # zero-height one, which are empty intervals of mass 0.0.
+    rects = _reference_rects() + [Rectangle((0.2, -1.0), (0.2, 1.0)), Rectangle((-0.5, 0.3), (0.5, 0.3))]
+    masses = oracle._rect_masses(model, rects, QuadratureSpec())
+    assert len(against_reference) == len(rects)
+    assert masses[-2:] == [0.0, 0.0]
 
 
 def _tally(sizes):
@@ -266,16 +313,62 @@ def test_integrate_with_points_matches_reference(a, points, cap):
 
 def test_integrate_memory_bounded_without_convergence():
     # A tolerance no panel meets doubles every level until the panel cap;
-    # the integrand still gets bounded chunks of points.
+    # the integrand still gets bounded chunks of points.  The cap covers a
+    # whole batch, so a batch of five peaks as one integral does.
     spec = QuadratureSpec(abs_tol=1e-300, max_subdivisions=2**16)
-    tracemalloc.start()
-    try:
+    batch = (lambda s, k: bumpy(s + k), [0.0] * 5, [3.0] * 5, spec, [()] * 5)
+    runs = (lambda: integrate_adaptive(bumpy, 0.0, 3.0, spec), lambda: oracle._integrate_many(*batch))
+    for run in runs:
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureError):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+
+# Batches of integrals of different widths over [-1, 2], empty and
+# reversed ones included, each with its own kinks.
+_BATCHES = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5]), st.floats(-1.0, 2.0)),
+        st.one_of(st.sampled_from([-0.0, 0.5, math.nextafter(0.5, 1.0), 2.0]), st.floats(-1.0, 2.0)),
+        st.lists(st.one_of(st.sampled_from([0.0, math.pi / 7, 0.5]), st.floats(-1.0, 2.0)), max_size=4),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(batch=_BATCHES, cap=st.integers(4, 300))
+def test_batch_matches_one_at_a_time(batch, cap):
+    # Each integral of a batch has the bits of integrate_adaptive alone; the
+    # batch raises exactly when its integrals alone take more panels in
+    # all than the cap, which then covers the whole batch.
+    spec = QuadratureSpec(abs_tol=1e-3, max_subdivisions=cap)
+    unlimited = QuadratureSpec(abs_tol=1e-3)
+
+    def f(s, k):
+        return bumpy(s + 0.25 * k)
+
+    alone, sizes = [], []
+    for k, (a, b, points) in enumerate(batch):
+        def one(s, k=k):
+            sizes.append(s.size)
+            return f(s, k)
+
+        alone.append(integrate_adaptive(one, a, b, unlimited, points))
+    panels = sum(sizes) // 64
+    a, b, points = zip(*batch)
+    if panels > cap:
         with pytest.raises(QuadratureError):
-            integrate_adaptive(bumpy, 0.0, 3.0, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4_000_000
+            oracle._integrate_many(f, a, b, spec, points)
+    else:
+        got = oracle._integrate_many(f, a, b, spec, points)
+        assert [v.hex() for v in got] == [v.hex() for v in alone]
 
 
 # --- tail integrals ----------------------------------------------------
@@ -549,6 +642,14 @@ def test_verify_config_validation():
             VerifyConfig(seed=seed)
 
 
+def test_verify_config_rejects_bools():
+    # A bool is an int in Python: seed=True would run the checks of seed 1
+    # and report "seed": true, and rect_count=True one rectangle.
+    for name in ("seed", "n_samples", "mc_n", "rect_count", "mass_rect_count"):
+        with pytest.raises(DomainError):
+            VerifyConfig(**{name: True})
+
+
 def test_quad_mass_across_support_kinks():
     # The outer integrand has kinks where the rectangle's top or bottom
     # edge meets the support boundary; bisection that is not cut there can
@@ -574,3 +675,151 @@ def test_quad_mass_across_support_kinks():
 )
 def test_quad_mass_with_coinciding_kinks(model, rect):
     assert abs(quad_mass_2d(model, rect) - cdf_volume(model, rect)) <= 1e-9
+
+
+# --- the verify rows that left their scalar loops ----------------------
+
+
+def _former_scalar_rows(cfg):
+    # (closed_form, oracle) of each row that now runs on the array kernels
+    # or the quadrature batches, in report order, as the former scalar loops
+    # and one-integral-per-call oracles computed them.
+    gap = oracle._max_gap
+    rows = {}
+
+    def row(name, closed, oracle_val=0.0):
+        rows.setdefault(name, []).append((closed, oracle_val))
+
+    square = np.linspace(-0.95, 0.95, 19)
+    disk = [(x, y) for x in square for y in square if x * x + y * y < 1.0]
+    row("alpha_sign_equivariance", gap(
+        (alpha(ex * abs(x), ey * abs(y)), ex * ey * alpha(abs(x), abs(y)))
+        for x, y in disk for ex in (-1, 1) for ey in (-1, 1)
+    ))
+    thetas = (np.arange(200) + 0.5) * (0.5 * math.pi / 200)
+    shrink = 1.0 - 1e-10
+    row("alpha_boundary_continuity", gap(
+        (alpha(shrink * math.cos(t), shrink * math.sin(t)), alpha(math.cos(t), math.sin(t))) for t in thetas
+    ))
+    edge = np.linspace(-1.0, 1.0, 41)
+    row("alpha_unit_edge", gap((alpha(float(x), 1.0), x / 4.0) for x in edge))
+    axis = edge.tolist()
+    row("alpha_gamma_zero_reduction", gap(
+        (alpha_gamma(0.0, u, v), alpha(u, v)) for u in axis for v in axis
+    ))
+    axis = np.linspace(-1.0, 1.0, 21).tolist()
+    for g in _GAMMAS:
+        row("alpha_gamma_negation_symmetry", gap(
+            (alpha_gamma(-g, -u, v), -alpha_gamma(g, u, v)) for u in axis for v in axis
+        ))
+    triples = oracle._rng(cfg, 1).uniform(-1.0, 1.0, (200, 3))
+    row("delta3_permutation_bitwise", gap(
+        (delta3(*q), delta3(*p)) for p in triples for q in permutations(p)
+    ))
+    for x, y in ((0.3, 0.4), (0.1, 0.7), (0.5, 0.2), (0.45, 0.55), (0.05, 0.05)):
+        tail = quad_survival_circular(x, y, cfg.quadrature)
+        row("alpha_vs_integral", cfg.alpha_fn(x, y), tail - (1.0 - x - y) / 4.0)
+
+    models = [
+        CircularCopula(), SphericalCopula(), *(EllipticalCopula(g) for g in _GAMMAS), NonlinearDiskCopula(),
+    ]
+    grid = np.linspace(-1.0, 1.0, 41).tolist()
+    for m in models:
+        row("uniform_marginals", gap(
+            (m.cdf(*(t if j == k else 1.0 for j in range(m.dim))), (t + 1.0) / 2.0)
+            for t in grid for k in range(m.dim)
+        ))
+    for i, m in enumerate(models):
+        lows, highs = oracle._random_corners(oracle._rng(cfg, 10 + i), cfg.rect_count, m.dim)
+        masses = _corner_sum(partial(evaluate, m, "cdf"), lows.T, highs.T)
+        row("rect_mass_nonnegative", min(oracle._first_min(masses), 0.0))
+    axis = np.linspace(-1.0, 1.0, 21).tolist()
+    for g in _GAMMAS:
+        m = EllipticalCopula(g)
+        row("elliptical_point_symmetry", gap(
+            (m.cdf(u, v) - (u + v) / 2.0, m.cdf(-u, -v)) for u in axis for v in axis
+        ))
+    row("circular_survival_reflection", gap(
+        (circular_survival(x, y), circular_cdf(-x, -y)) for x in axis for y in axis
+    ))
+    row("spherical_margin_collapse", gap(
+        (spherical_cdf(x, y, 1.0), circular_cdf(x, y)) for x in grid for y in grid
+    ))
+    rng = oracle._rng(cfg, 4)
+    triples = [rng.uniform(-1.0, 1.0, 3) for _ in range(100)]
+    row("spherical_exchangeability", gap(
+        (spherical_cdf(*q), spherical_cdf(*p)) for p in triples for q in permutations(p)
+    ))
+    rng = oracle._rng(cfg, 5)
+    octant = [rng.uniform(0.0, 0.57, 3) for _ in range(100)]
+    row("spherical_survival_inclusion_exclusion", gap(
+        (
+            spherical_survival(x, y, z),
+            1.0 - (x + 1.0) / 2.0 - (y + 1.0) / 2.0 - (z + 1.0) / 2.0
+            + circular_cdf(x, y) + circular_cdf(x, z) + circular_cdf(y, z) - spherical_cdf(x, y, z),
+        )
+        for x, y, z in octant
+    ))
+    u = oracle._rng(cfg, 6).random((10**4, 2))
+    radius = np.sqrt(0.999 * u[:, 0]).tolist()
+    angle = (2.0 * math.pi * u[:, 1]).tolist()
+    disk = [(r * math.cos(t), r * math.sin(t)) for r, t in zip(radius, angle)]
+    row("nonlinear_round_trip", gap(
+        pair for p in disk for pair in zip(nonlinear_inverse(*nonlinear_forward(*p)), p)
+    ))
+    axis = np.linspace(-1.0, 1.0, 31).tolist()
+    for m in models:
+        if m.dim == 2:
+            row("density_support", float(sum(
+                (m.in_support(x, y, tol=-1e-9) and val <= 0.0)
+                + (not m.in_support(x, y, tol=1e-9) and val != 0.0)
+                for x in axis for y in axis for val in [m.pdf(x, y)]
+            )))
+
+    spec = cfg.quadrature
+    rng = oracle._rng(cfg, 9)
+    points = [rng.uniform(0.0, 0.9, 2) for _ in range(10)]
+    row("quad_survival_circular_vs_closed", gap(
+        (circular_survival(x, y), quad_survival_circular(x, y, spec))
+        for x, y in points
+        if x * x + y * y < 0.995
+    ))
+    row("quad_survival_circular_on_axis", gap(
+        (quad_survival_circular(x, 0.0, spec), (1.0 - x) / 4.0)
+        for x in np.linspace(0.0, 0.9, 10).tolist()
+    ))
+    rng = oracle._rng(cfg, 11)
+    points = [rng.uniform(0.05, 0.55, 3) for _ in range(5)]
+    row("quad_survival_spherical_vs_closed", gap(
+        (spherical_survival(*p), _former_tail(*q, spec)) for p in points for q in permutations(p)
+    ))
+    for i, m in enumerate(m for m in models if m.dim == 2):
+        rects = oracle._random_rectangles(oracle._rng(cfg, 4000 + i), cfg.mass_rect_count, 2)
+        row("rect_mass_vs_cdf_volume", gap((cdf_volume(m, r), quad_mass_2d(m, r, spec)) for r in rects))
+    return rows
+
+
+def _former_tail(x, y, z, spec):
+    # The x-first tail integral over 4*pi, one integral per call.
+    def integrand(s):
+        root = np.sqrt(1.0 - s * s)
+        return (
+            0.5 * np.pi
+            - np.arcsin(np.clip(y / root, -1.0, 1.0))
+            - np.arcsin(np.clip(z / root, -1.0, 1.0))
+        )
+
+    hi = math.sqrt(1.0 - y * y - z * z) - 1e-14
+    return integrate_adaptive(integrand, x, hi, spec) / (4.0 * math.pi)
+
+
+def test_moved_rows_match_former_scalar_forms():
+    cfg = VerifyConfig(seed=7, include_timestamp=False, **SMALL)
+    former = _former_scalar_rows(cfg)
+    got = {}
+    for check in verify_suite(cfg).checks:
+        if check.name in former:
+            got.setdefault(check.name, []).append((check.closed_form.hex(), check.oracle.hex()))
+    assert set(got) == set(former)
+    for name, rows in former.items():
+        assert got[name] == [(float(c).hex(), float(o).hex()) for c, o in rows], name
