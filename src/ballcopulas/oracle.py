@@ -95,8 +95,8 @@ _GL_ORDER = 64
 class QuadratureSpec:
     """Settings for the adaptive Gauss-Legendre integrator.
 
-    ``max_subdivisions`` caps the number of panel evaluations; exceeding it
-    raises :class:`QuadratureError`.
+    ``max_subdivisions`` caps the number of panel evaluations of each
+    integral; exceeding it raises :class:`QuadratureError`.
     """
 
     abs_tol: float = 1e-9
@@ -169,42 +169,62 @@ def integrate_adaptive(
 
 
 def _integrate_many(f, a, b, spec: QuadratureSpec, points) -> list[float]:
-    # integrate_adaptive over [a[k], b[k]] with kinks points[k] for every k,
-    # in one level loop: f(s, k) gets the integral index k of each point s.
-    # A panel is accepted against its own integral's share of abs_tol, and
-    # each integral's accepted panels are summed by descending lower limit,
-    # so every integral has the bits of a batch of one.  max_subdivisions
-    # caps the panels of the whole batch, so memory stays that of one
-    # integral however many the batch holds.
+    # integrate_adaptive over [a[k], b[k]] with kinks points[k] for every k:
+    # f(s, k) gets the integral index k of each point s.  Every integral
+    # keeps the panel tree, the bits and the raise it has alone, since
+    # max_subdivisions caps each integral's panels.  A group of consecutive
+    # integrals is refined in one level loop while its panels fit the cap in
+    # all, so memory stays that of one integral; a group that outgrows the
+    # cap before any of its integrals does starts over in halves.
     a, b, points = list(a), list(b), [list(p) for p in points]
     if not all(math.isfinite(e) for e in chain(a, b, *points)):
         raise DomainError("integration limits and points must be finite")
-    lo, hi, owner = [], [], []
-    for k, (start, stop, inside) in enumerate(zip(a, b, points)):
-        if stop <= start:
-            continue
-        # A set drops repeated points so that no first panel has zero width;
-        # -0.0 equals 0.0, and which of the two stays moves no panel's nodes.
-        edges = [start, *sorted({p for p in inside if start < p < stop}), stop]
-        lo += edges[:-1]
-        hi += edges[1:]
-        owner += [k] * (len(edges) - 1)
-    totals = [0.0] * len(a)
-    if not owner:
-        return totals
+    # The first panels of each integral run between consecutive edges; an
+    # empty interval has none.  A set drops repeated points so that no first
+    # panel has zero width; -0.0 equals 0.0, and which of the two stays
+    # moves no panel's nodes.
+    edges = [
+        [start, *sorted({p for p in inside if start < p < stop}), stop] if start < stop else []
+        for start, stop, inside in zip(a, b, points)
+    ]
     full = np.array(b, float) - np.array(a, float)
+    totals = [0.0] * len(a)
+    groups = [(0, len(a))]
+    while groups:
+        start, stop = groups.pop()
+        if not _refine_group(f, edges, full, spec, start, stop, totals):
+            middle = (start + stop) // 2
+            groups += [(middle, stop), (start, middle)]
+    return totals
+
+
+def _refine_group(f, edges, full, spec: QuadratureSpec, start: int, stop: int, totals: list) -> bool:
+    # Refine integrals start .. stop - 1 in one level loop and add each
+    # one's value to totals.  Returns False, with totals untouched, when the
+    # group's panels would pass the cap in all while each integral's stay
+    # within it; raises QuadratureError when one integral's pass it.
+    cap = spec.max_subdivisions
+    lo = [e for k in range(start, stop) for e in edges[k][:-1]]
+    hi = [e for k in range(start, stop) for e in edges[k][1:]]
+    owner = [k for k in range(start, stop) for _ in edges[k][1:]]
+    if not owner:
+        return True
     # 32-bit integral indices: a level at the panel cap holds 2^19 of them.
     lo, hi, owner = np.array(lo, float), np.array(hi, float), np.array(owner, np.int32)
+    evaluations = np.bincount(owner - start, minlength=stop - start)
+    if stop - start > 1 and evaluations.sum() > cap:
+        return False
     whole = _panels(f, lo, hi, owner)
-    evaluations = lo.size
     accepted_lo, accepted_owner, accepted = [], [], []
     while lo.size:
-        evaluations += 2 * lo.size
-        if evaluations > spec.max_subdivisions:
+        evaluations += 2 * np.bincount(owner - start, minlength=stop - start)
+        if evaluations.max() > cap:
             raise QuadratureError(
                 f"no convergence to abs_tol={spec.abs_tol!r} within "
                 f"{spec.max_subdivisions} panel evaluations"
             )
+        if evaluations.sum() > cap:
+            return False
         mid = 0.5 * (lo + hi)
         pair = np.concatenate((owner, owner))
         halves = _panels(f, np.concatenate((lo, mid)), np.concatenate((mid, hi)), pair)
@@ -228,7 +248,7 @@ def _integrate_many(f, a, b, spec: QuadratureSpec, points) -> list[float]:
     order = np.lexsort((-np.concatenate(accepted_lo), owner))
     for k, value in zip(owner[order].tolist(), np.concatenate(accepted)[order].tolist()):
         totals[k] += value
-    return totals
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +310,7 @@ def quad_survival_spherical(
     Evaluates ``(1/(4*pi)) * integral_x^{sqrt(1-y^2-z^2)} [pi/2
     - arcsin(y/sqrt(1-s^2)) - arcsin(z/sqrt(1-s^2))] ds``.  The integral is
     exchangeable in ``(x, y, z)``; all six argument orders are evaluated, as
-    one batch under one panel cap, and must agree within ``10 * abs_tol``,
+    one batch, and must agree within ``10 * abs_tol``,
     otherwise :class:`OracleInconsistencyError` is raised.
     """
     spec = spec or DEFAULT_QUADRATURE
@@ -576,13 +596,10 @@ def _rng(cfg: VerifyConfig, index: int) -> np.random.Generator:
     return _make_rng(_derived_seed(cfg.seed, index))
 
 
-def _max_gap(pairs: Iterable[tuple[float, float]]) -> float:
-    return max((abs(f - g) for f, g in pairs), default=0.0)
-
-
-def _gap(values: np.ndarray, targets: np.ndarray) -> float:
-    # _max_gap of two arrays that broadcast, element by element.
-    return float(np.max(np.abs(values - targets), initial=0.0))
+def _gap(values, targets) -> float:
+    # The largest |value - target| over two arrays that broadcast, 0.0 for
+    # none; a NaN anywhere makes it NaN, which fails the row.
+    return float(np.max(np.abs(np.asarray(values, float) - np.asarray(targets, float)), initial=0.0))
 
 
 def _grid(*axes) -> list[np.ndarray]:
@@ -605,6 +622,10 @@ def _spherical_inclusion_exclusion(x: np.ndarray, y: np.ndarray, z: np.ndarray) 
         + circle(y, z)
         - evaluate(SphericalCopula(), "cdf", x, y, z)
     )
+
+
+# Rectangles per corner mesh of rect_mass_nonnegative.
+_RECT_BLOCK = 4096
 
 
 def _first_min(values: np.ndarray) -> float:
@@ -631,8 +652,10 @@ def _scalar_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tup
     disk = x * x + y * y < 1.0
     x, y = np.abs(x[disk]), np.abs(y[disk])
     base = _alpha_array(x, y)
-    gap = max(
-        _gap(_alpha_array(ex * x, ey * y), ex * ey * base) for ex in (-1, 1) for ey in (-1, 1)
+    signs = [(ex, ey) for ex in (-1, 1) for ey in (-1, 1)]
+    gap = _gap(
+        np.stack([_alpha_array(ex * x, ey * y) for ex, ey in signs]),
+        np.stack([ex * ey * base for ex, ey in signs]),
     )
     yield "alpha_sign_equivariance", "-", "19x19 interior grid", gap, 0.0, 1e-12
 
@@ -669,7 +692,7 @@ def _scalar_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tup
     yield "delta3_permutation_bitwise", "-", "200 random triples", _gap(values, values[0]), 0.0, 0.0
 
     axis = np.linspace(0.01, 0.70, 50).tolist()
-    gap = _max_gap((h_identity(x, y), _HALF_PI) for x in axis for y in axis)
+    gap = _gap([h_identity(x, y) for x in axis for y in axis], _HALF_PI)
     yield "h_identity_constant", "-", "50x50 grid", gap, 0.0, 1e-12
 
     area = cap_intersection_area(_HALF_PI, _HALF_PI, _HALF_PI)
@@ -681,23 +704,20 @@ def _scalar_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tup
         r1 = rng.uniform(0.1, _HALF_PI)
         r2 = rng.uniform(0.1, _HALF_PI)
         lenses.append((r1, r2, abs(r1 - r2) + rng.uniform(0.05, 0.95) * (r1 + r2 - abs(r1 - r2))))
-    gap = _max_gap(
-        (cap_intersection_area(r1, r2, d), cap_intersection_area(r2, r1, d))
-        for r1, r2, d in lenses
+    gap = _gap(
+        [cap_intersection_area(r1, r2, d) for r1, r2, d in lenses],
+        [cap_intersection_area(r2, r1, d) for r1, r2, d in lenses],
     )
     yield "cap_area_symmetry", "-", "100 random configurations", gap, 0.0, 1e-12
-    gap = _max_gap((cap_intersection_area(r1, r2, r1 + r2), 0.0) for r1, r2, _ in lenses)
+    gap = _gap([cap_intersection_area(r1, r2, r1 + r2) for r1, r2, _ in lenses], 0.0)
     yield "cap_area_tangent_zero", "-", "100 tangent pairs", gap, 0.0, 1e-6
 
     rng = _rng(cfg, 3)
     points = [rng.uniform(0.02, 0.9, 2) for _ in range(100)]
-    gap = _max_gap(
-        (
-            cap_intersection_area(math.acos(x), math.acos(y), _HALF_PI),
-            _FOUR_PI * circular_survival(x, y),
-        )
-        for x, y in points
-        if x * x + y * y < 0.98
+    points = [(x, y) for x, y in points if x * x + y * y < 0.98]
+    gap = _gap(
+        [cap_intersection_area(math.acos(x), math.acos(y), _HALF_PI) for x, y in points],
+        [_FOUR_PI * circular_survival(x, y) for x, y in points],
     )
     yield "cap_area_vs_circular_survival", "circular", "100 random points", gap, 0.0, 1e-9
 
@@ -712,7 +732,7 @@ def _model_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tupl
     grid = np.linspace(-1.0, 1.0, 41)
     for m in models:
         edges = (evaluate(m, "cdf", *(grid if j == k else 1.0 for j in range(m.dim))) for k in range(m.dim))
-        gap = max(_gap(values, (grid + 1.0) / 2.0) for values in edges)
+        gap = _gap(np.stack(list(edges)), (grid + 1.0) / 2.0)
         yield "uniform_marginals", m.describe(), "41-point edge grids", gap, 0.0, 1e-12
 
     for m in models:
@@ -726,18 +746,22 @@ def _model_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tupl
         yield "cdf_range_and_monotonicity", m.describe(), "41-per-axis grid", violation, 0.0, 1e-12
 
     for i, m in enumerate(models):
-        # Every corner of every rectangle in one evaluate: axis k of the mesh
-        # holds the lower and the upper value of coordinate k, and the last
-        # axis the rectangles, so the spherical pair alphas are taken once
-        # per distinct pair.  The corner sum takes the corners by index.
+        # Every corner of a block of rectangles in one evaluate: axis k of
+        # the mesh holds the lower and the upper value of coordinate k, and
+        # the last axis the rectangles, so the spherical pair alphas are
+        # taken once per distinct pair.  The corner sum takes the corners by
+        # index.  Blocks bound the mesh's memory at any rectangle count.
         lows, highs = _random_corners(_rng(cfg, 10 + i), cfg.rect_count, m.dim)
-        mesh = [
-            np.stack((lo, hi)).reshape(*(2 if j == k else 1 for j in range(m.dim)), -1)
-            for k, (lo, hi) in enumerate(zip(lows.T, highs.T))
-        ]
-        values = evaluate(m, "cdf", *mesh)
-        masses = _corner_sum(lambda *bits: values[bits], (0,) * m.dim, (1,) * m.dim)
-        least = min(_first_min(masses), 0.0)
+        masses = []
+        for start in range(0, cfg.rect_count, _RECT_BLOCK):
+            block = slice(start, start + _RECT_BLOCK)
+            mesh = [
+                np.stack((lo, hi)).reshape(*(2 if j == k else 1 for j in range(m.dim)), -1)
+                for k, (lo, hi) in enumerate(zip(lows[block].T, highs[block].T))
+            ]
+            values = evaluate(m, "cdf", *mesh)
+            masses.append(_corner_sum(lambda *bits: values[bits], (0,) * m.dim, (1,) * m.dim))
+        least = min(_first_min(np.concatenate(masses)), 0.0)
         count = f"{cfg.rect_count} random rectangles"
         yield "rect_mass_nonnegative", m.describe(), count, least, 0.0, 1e-12
 
@@ -778,7 +802,7 @@ def _model_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tupl
     x = radius * np.fromiter(map(math.cos, angle), float, len(angle))
     y = radius * np.fromiter(map(math.sin, angle), float, len(angle))
     back = _nonlinear_inverse(*_nonlinear_forward(x, y, np.sqrt), np.sqrt)
-    gap = max(_gap(back[0], x), _gap(back[1], y))
+    gap = _gap(np.stack(back), np.stack((x, y)))
     yield "nonlinear_round_trip", "nonlinear", "10000 random disk points", gap, 0.0, 1e-12
 
     x, y = np.meshgrid(*[np.linspace(-1.0, 1.0, 31)] * 2, indexing="ij", sparse=True)
@@ -870,12 +894,12 @@ def _quadrature_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator
     rng = _rng(cfg, 9)
     points = [(x, y) for x, y in (rng.uniform(0.0, 0.9, 2) for _ in range(10)) if x * x + y * y < 0.995]
     closed = [circular_survival(x, y) for x, y in points]
-    gap = _max_gap(zip(closed, _circular_tails(points, spec)))
+    gap = _gap(closed, _circular_tails(points, spec))
     yield "quad_survival_circular_vs_closed", "circular", "10 random points", gap, 0.0, 1e-8
 
     axis = np.linspace(0.0, 0.9, 10).tolist()
     tails = _circular_tails([(x, 0.0) for x in axis], spec)
-    gap = _max_gap(zip(tails, ((1.0 - x) / 4.0 for x in axis)))
+    gap = _gap(tails, [(1.0 - x) / 4.0 for x in axis])
     yield "quad_survival_circular_on_axis", "circular", "x in [0, 0.9], y = 0", gap, 0.0, 1e-8
 
     rng = _rng(cfg, 11)
@@ -883,7 +907,7 @@ def _quadrature_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator
     closed = [spherical_survival(*p) for p in points for _ in range(6)]
     tails = _tail_integrals([q for p in points for q in permutations(p)], spec)
     where = "5 random points x 6 permutations"
-    gap = _max_gap(zip(closed, tails))
+    gap = _gap(closed, tails)
     yield "quad_survival_spherical_vs_closed", "spherical", where, gap, 0.0, 1e-8
 
     planar = [m for m in models if m.dim == 2]
@@ -895,7 +919,7 @@ def _quadrature_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator
     count = f"{cfg.mass_rect_count} random rectangles"
     for i, m in enumerate(planar):
         rects = _random_rectangles(_rng(cfg, 4000 + i), cfg.mass_rect_count, 2)
-        gap = _max_gap(zip((cdf_volume(m, r) for r in rects), _rect_masses(m, rects, spec)))
+        gap = _gap([cdf_volume(m, r) for r in rects], _rect_masses(m, rects, spec))
         yield "rect_mass_vs_cdf_volume", m.describe(), count, gap, 0.0, 1e-6
 
     sph = SphericalCopula()
