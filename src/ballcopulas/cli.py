@@ -141,19 +141,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    kwargs: dict = {
-        "seed": args.seed,
-        "tol_scale": args.tol_scale,
-        "include_timestamp": not args.no_timestamp,
-    }
-    if args.n is not None:
-        kwargs["n_samples"] = args.n
-        kwargs["mc_n"] = args.n
-    if args.rects is not None:
-        kwargs["rect_count"] = args.rects
-    if args.abs_tol is not None:
-        kwargs["quadrature"] = QuadratureSpec(abs_tol=args.abs_tol)
-    report = verify_suite(VerifyConfig(**kwargs))
+    # One VerifyConfig field per flag; the flags' defaults are the fields'.
+    config = VerifyConfig(
+        seed=args.seed, n_samples=args.n, rect_count=args.rects,
+        quadrature=QuadratureSpec(abs_tol=args.abs_tol), tol_scale=args.tol_scale,
+        include_timestamp=not args.no_timestamp,
+    )
+    report = verify_suite(config)
     _emit(report.to_json(), args.out)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -223,16 +217,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--seed", type=int, required=True, help="master seed")
     p_verify.add_argument(
-        "--n", type=int, default=None, help="samples per model (at least 1000)"
+        "--n", type=int, default=VerifyConfig.n_samples,
+        help="samples per model, one batch that every sampled check reads (at least 1000)",
     )
     p_verify.add_argument(
-        "--rects", type=int, default=None, help="rectangles per model (at least 1)"
+        "--rects", type=int, default=VerifyConfig.rect_count,
+        help="random rectangles per model of rect_mass_nonnegative (at least 1)",
     )
     p_verify.add_argument(
-        "--tol-scale", type=float, default=1.0, help="scale all check tolerances"
+        "--tol-scale", type=float, default=VerifyConfig.tol_scale, help="scale all check tolerances"
     )
     p_verify.add_argument(
-        "--abs-tol", type=float, default=None, help="quadrature absolute tolerance"
+        "--abs-tol", type=float, default=QuadratureSpec.abs_tol, help="quadrature absolute tolerance"
     )
     p_verify.add_argument("--out", default=None, help="report path (default stdout)")
     p_verify.add_argument(

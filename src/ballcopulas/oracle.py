@@ -25,7 +25,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from itertools import chain, permutations
-from typing import Callable, ClassVar, Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -127,9 +127,9 @@ def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
 
 def _panels(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> np.ndarray:
     # Gauss-Legendre value of each panel [lo[i], hi[i]] of integral
-    # owner[i].  A panel's nodes are those a call for it alone would use,
-    # and each panel is reduced by its own dot product: one matrix product
-    # over all panels rounds differently.
+    # owner[i].  A panel's nodes are those a call for it alone would use, and
+    # its 64 weighted values are summed by halving: a BLAS dot product rounds
+    # by the kernel that OpenBLAS picks for the CPU.
     nodes, weights = _gl_nodes()
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -139,8 +139,10 @@ def _panels(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> np.ndarray:
         chunk = slice(start, start + step)
         points = mid[chunk, None] + half[chunk, None] * nodes
         values = f(points.ravel(), np.repeat(owner[chunk], _GL_ORDER))
-        values = np.asarray(values, float).reshape(points.shape)
-        sums[chunk] = list(map(weights.dot, values))
+        terms = np.asarray(values, float).reshape(points.shape) * weights
+        for k in (32, 16, 8, 4, 2, 1):
+            terms[:, :k] += terms[:, k:2 * k]
+        sums[chunk] = terms[:, 0]
     return half * sums
 
 
@@ -451,12 +453,16 @@ def mc_cdf(model: CopulaModel, p: tuple[float, ...], n: int, seed: int) -> MCEst
         raise DomainError("point dimension does not match the model")
     if any(not abs(t) <= 1.0 for t in point):
         raise DomainError(f"mc_cdf: point {point!r} outside the centered cube")
-    batch = model.sample(n, seed)
-    # One comparison per coordinate column: np.all over the short rows of a
+    return _empirical_cdf(model.sample(n, seed), point)
+
+
+def _empirical_cdf(batch: SampleBatch, point: tuple[float, ...]) -> MCEstimate:
+    # One comparison per coordinate column: np.all over the short rows of an
     # (n, dim) array costs many times more.
+    n = len(batch)
     below = np.logical_and.reduce([col <= t for col, t in zip(batch.points.T, point)])
     q = np.count_nonzero(below) / n
-    return MCEstimate(q, math.sqrt(q * (1.0 - q) / n), n, int(seed))
+    return MCEstimate(q, math.sqrt(q * (1.0 - q) / n), n, batch.seed)
 
 
 def _ks_statistic(sorted_values: np.ndarray, cdf_values: np.ndarray) -> float:
@@ -551,35 +557,27 @@ class VerificationReport:
 
 @dataclass
 class VerifyConfig:
-    """Settings for :func:`verify_suite`.
-
-    ``alpha_fn`` exists as a fault-injection hook for tests: replacing it
-    with a corrupted function must flip the alpha-vs-integral check (and
-    the global flag) to failure.
-    """
+    """Settings for :func:`verify_suite`, one per flag of ``ballcop verify``;
+    ``n_samples`` is the size of the one batch per model that every sampled
+    check reads, the Monte-Carlo CDF rows too."""
 
     seed: int = 20260810
     n_samples: int = 200_000
-    mc_n: int = 100_000
     rect_count: int = 10_000
-    mass_rect_count: int = 25
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     tol_scale: float = 1.0
     include_timestamp: bool = True
-    alpha_fn: Callable[[float, float], float] = alpha
 
     def __post_init__(self) -> None:
         # The samplers' rule, else a bad seed folds into a valid derived stream.
         _check_seed(self.seed)
         # Integer types, so that NaN or a fraction cannot slip past the bounds.
-        for name in ("n_samples", "mc_n", "rect_count", "mass_rect_count"):
+        for name, least, what in (("n_samples", 1000, "samples"), ("rect_count", 1, "rectangle per model")):
             count = getattr(self, name)
             if not _is_integer(count):
                 raise DomainError(f"{name} must be an integer, got {count!r}")
-        if self.n_samples < 1000 or self.mc_n < 1000:
-            raise DomainError("verification needs at least 1000 samples")
-        if self.rect_count < 1 or self.mass_rect_count < 1:
-            raise DomainError("verification needs at least 1 rectangle per model")
+            if count < least:
+                raise DomainError(f"verification needs at least {least} {what}")
         if not (math.isfinite(self.tol_scale) and self.tol_scale >= 0.0):
             raise DomainError(f"tol_scale must be finite and nonnegative, got {self.tol_scale!r}")
 
@@ -624,8 +622,9 @@ def _spherical_inclusion_exclusion(x: np.ndarray, y: np.ndarray, z: np.ndarray) 
     )
 
 
-# Rectangles per corner mesh of rect_mass_nonnegative.
-_RECT_BLOCK = 4096
+# Rectangles per corner mesh of rect_mass_nonnegative, and per planar model
+# of rect_mass_vs_cdf_volume.
+_RECT_BLOCK, _MASS_RECTS = 4096, 25
 
 
 def _first_min(values: np.ndarray) -> float:
@@ -724,7 +723,7 @@ def _scalar_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tup
     points = ((0.3, 0.4), (0.1, 0.7), (0.5, 0.2), (0.45, 0.55), (0.05, 0.05))
     for (x, y), tail in zip(points, _circular_tails(points, cfg.quadrature)):
         oracle_val = tail - (1.0 - x - y) / 4.0
-        yield "alpha_vs_integral", "circular", [x, y], cfg.alpha_fn(x, y), oracle_val, 1e-8
+        yield "alpha_vs_integral", "circular", [x, y], alpha(x, y), oracle_val, 1e-8
 
 
 def _model_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tuple]:
@@ -852,8 +851,10 @@ def _sampler_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tu
         yield "second_moment_one_third", m.describe(), size, worst, 0.0, band
 
     for g in _GAMMAS:
-        pts = batches[EllipticalCopula(g).describe()].points
-        corr = float(np.corrcoef(pts[:, 0], pts[:, 1])[0, 1])
+        # From centered sums: np.corrcoef's BLAS product rounds by CPU.
+        x, y = batches[EllipticalCopula(g).describe()].points.T
+        dx, dy = x - np.mean(x), y - np.mean(y)
+        corr = float(np.sum(dx * dy) / math.sqrt(np.sum(dx * dx) * np.sum(dy * dy)))
         target = math.sin(g)
         band = 4.0 * (1.0 - target * target) / math.sqrt(cfg.n_samples)
         yield "elliptical_correlation", f"elliptical(gamma={g!r})", size, corr, target, band
@@ -871,7 +872,7 @@ def _sampler_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tu
             raised += 1
     yield "dimension_guard", "spherical", "dims (4, 7)", float(raised), 2.0, 0.0
 
-    ones = mc_cdf(CircularCopula(), (1.0, 1.0), 1000, _derived_seed(cfg.seed, 8))
+    ones = _empirical_cdf(batches["circular"], (1.0, 1.0))
     yield "mc_cdf_at_all_ones", "circular", [1.0, 1.0], ones.value, 1.0, 0.0
 
     mc_points = [
@@ -881,8 +882,8 @@ def _sampler_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tu
         (NonlinearDiskCopula(), (0.5, 0.5)),
         *((EllipticalCopula(g), (0.3, -0.2)) for g in _GAMMAS),
     ]
-    for i, (m, p) in enumerate(mc_points):
-        est = mc_cdf(m, p, cfg.mc_n, _derived_seed(cfg.seed, 3000 + i))
+    for m, p in mc_points:
+        est = _empirical_cdf(batches[m.describe()], p)
         band = 4.0 * max(est.std_error, 1e-12)
         yield "mc_cdf_vs_closed_form", m.describe(), list(p), est.value, m.cdf(*p), band
 
@@ -916,9 +917,9 @@ def _quadrature_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator
         mass = quad_mass_2d(m, square, spec)
         yield "density_normalization", m.describe(), "full square", mass, 1.0, 1e-9
 
-    count = f"{cfg.mass_rect_count} random rectangles"
+    count = f"{_MASS_RECTS} random rectangles"
     for i, m in enumerate(planar):
-        rects = _random_rectangles(_rng(cfg, 4000 + i), cfg.mass_rect_count, 2)
+        rects = _random_rectangles(_rng(cfg, 4000 + i), _MASS_RECTS, 2)
         gap = _gap([cdf_volume(m, r) for r in rects], _rect_masses(m, rects, spec))
         yield "rect_mass_vs_cdf_volume", m.describe(), count, gap, 0.0, 1e-6
 
@@ -944,10 +945,11 @@ def verify_suite(config: VerifyConfig | None = None) -> VerificationReport:
     Each check is a row ``(name, model, input, closed_form, oracle, tol[,
     passed])``, and the layers yield their rows in report order; every random
     draw comes from a stream derived from ``config.seed`` and the row's
-    purpose.  This loop alone scales ``tol`` by ``tol_scale``, judges a row
-    by ``abs(closed_form - oracle) <= tol`` unless it brings its own
-    ``passed``, and builds its :class:`CheckResult`.  The global flag is the
-    conjunction of the per-check flags.
+    purpose, and every sampled row reads its model's one batch.  This loop
+    alone scales ``tol`` by ``tol_scale``, judges a row by ``abs(closed_form
+    - oracle) <= tol`` unless it brings its own ``passed``, and builds its
+    :class:`CheckResult`.  The global flag is the conjunction of the
+    per-check flags.
     """
     cfg = config or VerifyConfig()
     models = [
@@ -956,7 +958,7 @@ def verify_suite(config: VerifyConfig | None = None) -> VerificationReport:
         *[EllipticalCopula(g) for g in _GAMMAS],
         NonlinearDiskCopula(),
     ]
-    # Fixed per-purpose sample batches, one per model.
+    # One sample batch per model, shared by the sampled rows.
     batches = {
         m.describe(): m.sample(cfg.n_samples, _derived_seed(cfg.seed, 1000 + i))
         for i, m in enumerate(models)

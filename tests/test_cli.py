@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -8,7 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ballcopulas import model_from_name
+from ballcopulas import VerificationReport, VerifyConfig, cli, model_from_name
 from ballcopulas.cli import _reprs, main
 
 
@@ -415,6 +417,35 @@ def test_verify_exit_codes_and_report(tmp_path, capsys):
     assert {"name", "model", "input", "closed_form", "oracle", "abs_diff", "tol", "pass"} == set(
         doc["checks"][0]
     )
+
+
+def test_verify_flags_set_one_config_field_each(tmp_path, capsys, monkeypatch):
+    # VerifyConfig has one field per verify flag, each set by that flag
+    # alone; --out only names the report's path.
+    flags = {
+        "seed": ["--seed", "5"],
+        "n_samples": ["--n", "5000"],
+        "rect_count": ["--rects", "3"],
+        "quadrature": ["--abs-tol", "1e-7"],
+        "tol_scale": ["--tol-scale", "2.0"],
+        "include_timestamp": ["--no-timestamp"],
+    }
+    names = [f.name for f in dataclasses.fields(VerifyConfig)]
+    assert names == list(flags)
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for a in subparsers.choices["verify"]._actions for o in a.option_strings}
+    assert options == {"-h", "--help", "--out", *(argv[0] for argv in flags.values())}
+    configs = []
+    monkeypatch.setattr(
+        cli, "verify_suite", lambda cfg: configs.append(cfg) or VerificationReport(cfg.seed, ())
+    )
+    base = ["verify", "--seed", "1", "--out", str(tmp_path / "rep.json")]
+    assert run(base, capsys)[0] == 0
+    assert configs == [VerifyConfig(seed=1)]
+    for name, argv in flags.items():
+        assert run(base + argv, capsys)[0] == 0
+        assert {n for n in names if getattr(configs[-1], n) != getattr(configs[0], n)} == {name}
 
 
 def test_verify_requires_seed(capsys):

@@ -44,7 +44,7 @@ from ballcopulas import (
     spherical_survival,
     verify_suite,
 )
-from ballcopulas import oracle
+from ballcopulas import copulas, oracle
 from ballcopulas.copulas import _corner_sum
 from ballcopulas.oracle import _GAMMAS, _nonlinear_antiderivative
 
@@ -112,7 +112,9 @@ def reference_integrate(f, a, b, spec, points=()):
     # The depth-first integrator that evaluates one panel per call of f,
     # frozen: the level-by-level one must return its float bit for bit and
     # raise where it raises.  The pieces between the points start the
-    # stack in ascending order, so the rightmost is refined first.
+    # stack in ascending order, so the rightmost is refined first.  A
+    # panel's 64 weighted values are summed by halving, terms[:k] +
+    # terms[k:2k] for k = 32, 16, ..., 1.
     nodes, weights = np.polynomial.legendre.leggauss(64)
     full = b - a
     edges = np.unique([a, *(p for p in points if a < p < b), b]).tolist()
@@ -120,7 +122,10 @@ def reference_integrate(f, a, b, spec, points=()):
     def panel(lo, hi):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        return half * float(np.dot(weights, np.asarray(f(mid + half * nodes), float)))
+        terms = weights * np.asarray(f(mid + half * nodes), float)
+        for k in (32, 16, 8, 4, 2, 1):
+            terms = terms[:k] + terms[k:2 * k]
+        return half * float(terms[0])
 
     stack = [(lo, hi, panel(lo, hi)) for lo, hi in zip(edges, edges[1:])]
     evaluations = len(stack)
@@ -579,7 +584,7 @@ def test_moment_check():
 
 # --- verification suite -------------------------------------------------
 
-SMALL = dict(n_samples=20000, mc_n=20000, rect_count=500, mass_rect_count=5)
+SMALL = dict(n_samples=20000, rect_count=500)
 
 
 def test_verify_suite_passes_and_is_deterministic():
@@ -595,13 +600,29 @@ def test_verify_suite_passes_and_is_deterministic():
 
 def test_verify_suite_inventory():
     # Names, models and inputs of every check, in report order; the
-    # tolerances are left out because some derive from the samples.
+    # tolerances are left out because some derive from the samples.  Each
+    # rect_mass_vs_cdf_volume row reads "25 random rectangles".
     rep = verify_suite(VerifyConfig(seed=7, **SMALL))
     inventory = json.dumps([(c.name, c.model, c.input) for c in rep.checks])
     assert len(rep.checks) == 102
     assert hashlib.sha256(inventory.encode()).hexdigest() == (
-        "870cf0d6554ce920bbe7c64968674f334a67c1d9dd77120464fd50be86028564"
+        "bdad1ac24cbcb03b866b61157cd56e94a60de144728f98ec8cd5e30d79ce25fd"
     )
+
+
+def test_verify_suite_draws_one_batch_per_model(monkeypatch):
+    # Every sampled row reads its model's one batch of n_samples points; the
+    # only other draws are sampler_determinism's two of 2000 per model.
+    sizes = []
+    sample = copulas._sample
+
+    def counted(model, n, seed, draw):
+        sizes.append(n)
+        return sample(model, n, seed, draw)
+
+    monkeypatch.setattr(copulas, "_sample", counted)
+    verify_suite(VerifyConfig(seed=7, include_timestamp=False, **SMALL))
+    assert sorted(sizes) == [2000] * 12 + [SMALL["n_samples"]] * 6
 
 
 def test_verify_suite_report_schema():
@@ -625,15 +646,67 @@ def test_verify_suite_report_schema():
     assert doc["global_pass"] == all(c["pass"] for c in doc["checks"])
 
 
-def test_verify_suite_flags_corrupted_alpha():
-    cfg = VerifyConfig(
-        seed=7, alpha_fn=lambda x, y: alpha(x, y) + 1e-3, **SMALL
-    )
-    rep = verify_suite(cfg)
-    assert not rep.global_pass
-    assert any(c.name == "alpha_vs_integral" and not c.passed for c in rep.checks)
-    # only the hooked check family is affected
-    assert all(c.passed for c in rep.checks if c.name != "alpha_vs_integral")
+def _shifted_alpha(monkeypatch):
+    monkeypatch.setattr(oracle, "alpha", lambda x, y: alpha(x, y) + 1e-3)
+
+
+def _octant_sign_slip(monkeypatch):
+    # The spherical outside-ball correction, negated in the octant x < 0 <
+    # y, z, on the scalar and the array path.
+    correction = copulas._outside_correction
+
+    def slipped(x, y, z, *args):
+        value = correction(x, y, z, *args)
+        return np.where((x < 0.0) & (y > 0.0) & (z > 0.0), -value, value)
+
+    monkeypatch.setattr(copulas, "_outside_correction", slipped)
+
+
+def _reversed_shear(monkeypatch):
+    # The elliptical sampler shearing by -gamma.
+    sheared = copulas._sheared_points
+    monkeypatch.setattr(copulas, "_sheared_points", lambda gamma, rng, n: sheared(-gamma, rng, n))
+
+
+_ELLIPTICAL = [f"elliptical(gamma={g!r})" for g in _GAMMAS]
+
+
+@pytest.mark.parametrize(
+    "mutate, failing",
+    [
+        pytest.param(_shifted_alpha, {("alpha_vs_integral", "circular")}, id="shifted_alpha"),
+        pytest.param(
+            _octant_sign_slip,
+            {
+                (name, "spherical")
+                for name in (
+                    "uniform_marginals",
+                    "rect_mass_nonnegative",
+                    "spherical_margin_collapse",
+                    "spherical_exchangeability",
+                    "spherical_rect_mass_vs_mc",
+                )
+            },
+            id="octant_sign_slip",
+        ),
+        pytest.param(
+            _reversed_shear,
+            {
+                (name, model)
+                for name in ("sampler_support", "elliptical_correlation", "mc_cdf_vs_closed_form")
+                for model in _ELLIPTICAL
+            },
+            id="reversed_shear",
+        ),
+    ],
+)
+def test_verify_suite_mutation_table(monkeypatch, mutate, failing):
+    # Each injected fault fails exactly these rows, at the seed and sizes at
+    # which the unmutated suite passes every row
+    # (test_verify_suite_passes_and_is_deterministic).
+    mutate(monkeypatch)
+    rep = verify_suite(VerifyConfig(seed=7, include_timestamp=False, **SMALL))
+    assert {(c.name, c.model) for c in rep.failures()} == failing
 
 
 def test_verify_suite_zero_tolerance_fails():
@@ -651,11 +724,9 @@ def test_verify_config_validation():
             VerifyConfig(tol_scale=scale)
     with pytest.raises(DomainError):
         VerifyConfig(rect_count=0)
-    with pytest.raises(DomainError):
-        VerifyConfig(mass_rect_count=0)
     # A count that is not an integer is rejected before it reaches the
     # samplers and the rectangle draws.
-    for name in ("n_samples", "mc_n", "rect_count", "mass_rect_count"):
+    for name in ("n_samples", "rect_count"):
         for value in (math.nan, 2.5, 5000.0):
             with pytest.raises(DomainError):
                 VerifyConfig(**{name: value})
@@ -669,7 +740,7 @@ def test_verify_config_validation():
 def test_verify_config_rejects_bools():
     # A bool is an int in Python: seed=True would run the checks of seed 1
     # and report "seed": true, and rect_count=True one rectangle.
-    for name in ("seed", "n_samples", "mc_n", "rect_count", "mass_rect_count"):
+    for name in ("seed", "n_samples", "rect_count"):
         with pytest.raises(DomainError):
             VerifyConfig(**{name: True})
 
@@ -769,7 +840,7 @@ def _former_scalar_rows(cfg):
     ))
     for x, y in ((0.3, 0.4), (0.1, 0.7), (0.5, 0.2), (0.45, 0.55), (0.05, 0.05)):
         tail = quad_survival_circular(x, y, cfg.quadrature)
-        row("alpha_vs_integral", cfg.alpha_fn(x, y), tail - (1.0 - x - y) / 4.0)
+        row("alpha_vs_integral", alpha(x, y), tail - (1.0 - x - y) / 4.0)
 
     models = [
         CircularCopula(), SphericalCopula(), *(EllipticalCopula(g) for g in _GAMMAS), NonlinearDiskCopula(),
@@ -845,7 +916,7 @@ def _former_scalar_rows(cfg):
         (spherical_survival(*p), _former_tail(*q, spec)) for p in points for q in permutations(p)
     ))
     for i, m in enumerate(m for m in models if m.dim == 2):
-        rects = oracle._random_rectangles(oracle._rng(cfg, 4000 + i), cfg.mass_rect_count, 2)
+        rects = oracle._random_rectangles(oracle._rng(cfg, 4000 + i), 25, 2)
         row("rect_mass_vs_cdf_volume", gap((cdf_volume(m, r), quad_mass_2d(m, r, spec)) for r in rects))
     return rows
 
