@@ -123,8 +123,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
     model = model_from_name(args.model, args.gamma)
     batch = model.sample(args.n, args.seed)
     coords = ("x", "y") if model.dim == 2 else ("x", "y", "z")
-    cells = map(repr, batch.points.ravel().tolist())
-    _emit(_csv(",".join(coords), zip(*[cells] * model.dim)), args.out)
+    # Row by row from the batch's columns, since a C-order ravel would copy
+    # the column-major batch.  strict=True runs every column's iterator to
+    # its end, which frees that column's floats before the CSV is joined.
+    rows = zip(*(map(repr, column.tolist()) for column in batch.points.T), strict=True)
+    _emit(_csv(",".join(coords), rows), args.out)
 
     meta = {
         "model": model.name,

@@ -50,7 +50,9 @@ from .special_math import (
     _check_cube3,
     _check_gamma,
     _check_square,
+    _clamp_unit,
     _delta3,
+    _h_identity,
     _pick,
     _support_discriminant,
 )
@@ -359,7 +361,12 @@ class CopulaModel:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Exact samples from a model plus everything needed to reproduce them."""
+    """Exact samples from a model plus everything needed to reproduce them.
+
+    ``points`` is an ``(n, dim)`` array stored column-major: the samplers
+    write each coordinate into its own contiguous column, which is what the
+    checks of :mod:`ballcopulas.oracle` read.
+    """
 
     model: CopulaModel
     seed: int
@@ -380,13 +387,25 @@ def _sample(model: CopulaModel, n: int, seed: int, draw) -> SampleBatch:
     return SampleBatch(model, int(seed), points)
 
 
+def _columns(n: int, dim: int) -> np.ndarray:
+    # An empty (n, dim) batch stored column by column, for a draw to fill.
+    return np.empty((n, dim), order="F")
+
+
+def _polar(points: np.ndarray, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    # Columns 0 and 1 of points set to r*cos(theta) and r*sin(theta).
+    np.multiply(r, np.cos(theta), out=points[:, 0])
+    np.multiply(r, np.sin(theta), out=points[:, 1])
+    return points
+
+
 def _circular_points(rng: np.random.Generator, n: int) -> np.ndarray:
     # Angle uniform on [0, 2*pi); radius by inverse CDF: P(R <= r) =
     # 1 - sqrt(1 - r^2), hence R = sqrt(1 - W^2) with W uniform on [0, 1).
     theta = rng.uniform(0.0, _TWO_PI, n)
     w = rng.uniform(0.0, 1.0, n)
     r = np.sqrt(1.0 - w * w)
-    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    return _polar(_columns(n, 2), r, theta)
 
 
 def _sphere_points(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -394,25 +413,33 @@ def _sphere_points(rng: np.random.Generator, n: int) -> np.ndarray:
     # uniform (the area of a zone is proportional to its height), so
     # (sqrt(1-Z^2)*cos(T), sqrt(1-Z^2)*sin(T), Z) with Z ~ U[-1, 1] and
     # T ~ U[0, 2*pi) is exact.
-    z = rng.uniform(-1.0, 1.0, n)
+    points = _columns(n, 3)
+    z = points[:, 2]
+    z[:] = rng.uniform(-1.0, 1.0, n)
     theta = rng.uniform(0.0, _TWO_PI, n)
-    rho = np.sqrt(1.0 - z * z)
-    return np.column_stack((rho * np.cos(theta), rho * np.sin(theta), z))
+    return _polar(points, np.sqrt(1.0 - z * z), theta)
 
 
 def _sheared_points(gamma: float, rng: np.random.Generator, n: int) -> np.ndarray:
     # (X, X*sin(gamma) + Y*cos(gamma)) for (X, Y) from the circular draw.
-    xy = _circular_points(rng, n)
-    xy[:, 1] = xy[:, 0] * math.sin(gamma) + xy[:, 1] * math.cos(gamma)
-    return xy
+    points = _circular_points(rng, n)
+    x, y = points.T
+    np.add(x * math.sin(gamma), y * math.cos(gamma), out=y)
+    return points
 
 
 def _nonlinear_points(rng: np.random.Generator, n: int) -> np.ndarray:
     # Uniform disk point via R = sqrt(W), then the coordinate-wise
-    # rescaling u = x/sqrt(1-y^2), v = y/sqrt(1-x^2).
+    # rescaling u = x/sqrt(1-y^2), v = y/sqrt(1-x^2) of _nonlinear_forward,
+    # done in place.
     theta = rng.uniform(0.0, _TWO_PI, n)
     r = np.sqrt(rng.uniform(0.0, 1.0, n))
-    return np.column_stack(_nonlinear_forward(r * np.cos(theta), r * np.sin(theta), np.sqrt))
+    points = _polar(_columns(n, 2), r, theta)
+    x, y = points.T
+    cy, cx = np.sqrt(1.0 - y * y), np.sqrt(1.0 - x * x)
+    x /= cy
+    y /= cx
+    return points
 
 
 @dataclass(frozen=True)
@@ -491,10 +518,10 @@ class SphericalCopula(CopulaModel):
         # The scalar form with the outside-the-ball branch as a mask; the
         # pair alphas come from evaluate(), once per distinct pair.
         pairs = yz, xz, xy
-        val = _spherical_sum(x, y, z, pairs, np.choose)
+        val = _spherical_sum(x, y, z, pairs, _pick_exact)
         out = x * x + y * y + z * z >= 1.0
         x, y, z, pairs = x[out], y[out], z[out], [p[out] for p in pairs]
-        val[out] += _outside_correction(x, y, z, pairs, _sign_exact, np.choose)
+        val[out] += _outside_correction(x, y, z, pairs, _sign_exact, _pick_exact)
         return _clamp01_array(val)
 
     def in_support(self, x: float, y: float, z: float, tol: float = 1e-12) -> bool:
@@ -665,7 +692,7 @@ def evaluate(model: CopulaModel, quantity: str, *coords) -> np.ndarray:
     the scalar call at the same point bit for bit: the kernels run the
     scalar closed forms' own expressions on arrays (numpy's ``+ - * /`` and
     ``sqrt`` round exactly as Python floats do), ``max`` and ``min`` keep
-    Python's choice between 0.0 and -0.0, ``np.choose`` picks the
+    Python's choice between 0.0 and -0.0, ``np.where`` picks the
     ``delta3`` term that a tuple index picks, and each ``atan2`` goes
     through ``math.atan2``, since ``np.arctan2`` can differ from it in the
     last bit.  Except in the nonlinear CDF, whose ``w`` is zero only on the
@@ -747,9 +774,29 @@ def _sign_exact(t):
     return np.sign(t).astype(np.int64)
 
 
+def _pick_exact(index, options):
+    # options[index] element by element, for three options; a nested
+    # np.where costs a third of np.choose.
+    a, b, c = options
+    return np.where(index == 0, a, np.where(index == 1, b, c))
+
+
+def _asin_exact(t):
+    # The clamped math.asin of special_math element by element: the error
+    # that _clamp_unit raises for the first element beyond 1 + 1e-12, its
+    # clamp, and math.asin, since np.arcsin can differ from it in the last
+    # bit.
+    beyond = np.flatnonzero(np.abs(t) > 1.0 + 1e-12)
+    if beyond.size:
+        _clamp_unit(float(t[beyond[0]]), "arcsin")
+    t = _min_exact(1.0, _max_exact(-1.0, t))
+    return np.fromiter(map(math.asin, t.tolist()), float, t.size)
+
+
 _clamp01_array = partial(_clamp01, minimum=_min_exact, maximum=_max_exact)
 _alpha_array = partial(_alpha, sqrt=np.sqrt, maximum=_max_exact, atan2=_atan2_exact)
 _alpha_gamma_array = partial(_alpha_gamma, sqrt=np.sqrt, maximum=_max_exact, atan2=_atan2_exact)
+_h_identity_array = partial(_h_identity, sqrt=np.sqrt, asin=_asin_exact)
 
 
 def _sheared_pdf_array(gamma, u, v):

@@ -46,10 +46,12 @@ from .copulas import (
     _alpha_gamma_array,
     _check_seed,
     _corner_sum,
+    _h_identity_array,
     _is_integer,
     _make_rng,
     _nonlinear_forward,
     _nonlinear_inverse,
+    _pick_exact,
 )
 from .errors import (
     DimensionError,
@@ -58,7 +60,7 @@ from .errors import (
     OracleInconsistencyError,
     QuadratureError,
 )
-from .special_math import _HALF_PI, _TWO_PI, _delta3, alpha, cap_intersection_area, h_identity
+from .special_math import _HALF_PI, _TWO_PI, _delta3, alpha, cap_intersection_area
 
 __all__ = [
     "DEFAULT_QUADRATURE",
@@ -488,21 +490,20 @@ def ks_uniform(samples) -> float:
 def moment_check(batch: SampleBatch) -> list[MCEstimate]:
     """Empirical second moment of each coordinate, with standard errors.
 
-    For any model with uniform[-1, 1] marginals the target is 1/3.
+    For any model with uniform[-1, 1] marginals the target is 1/3.  Each
+    coordinate's squares are summed pairwise as one contiguous array, so
+    the moments do not depend on the layout of ``batch.points``; the
+    samplers' batches are column-major, so each column is read in order.
     """
-    pts = batch.points
-    n = pts.shape[0]
+    n = len(batch)
     if n < 1:
         raise DomainError("moment_check requires a nonempty batch")
-    sq = pts * pts
-    means = sq.mean(axis=0)
-    if n > 1:
-        errs = sq.std(axis=0, ddof=1) / math.sqrt(n)
-    else:
-        errs = np.zeros_like(means)
-    return [
-        MCEstimate(float(m), float(e), n, batch.seed) for m, e in zip(means, errs)
-    ]
+    estimates = []
+    for column in batch.points.T:
+        sq = column * column
+        err = float(sq.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+        estimates.append(MCEstimate(float(sq.mean()), err, n, batch.seed))
+    return estimates
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +645,7 @@ def _random_rectangles(rng: np.random.Generator, count: int, dim: int) -> list[R
     return [Rectangle(tuple(lows[i]), tuple(highs[i])) for i in range(count)]
 
 
-def _scalar_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tuple]:
+def _scalar_rows(cfg: VerifyConfig, models: list) -> Iterator[tuple]:
     """The special_math invariants, and alpha against its tail integral."""
     square = np.linspace(-0.95, 0.95, 19)
     x, y = _grid(square, square)
@@ -687,11 +688,11 @@ def _scalar_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tup
     triples = _rng(cfg, 1).uniform(-1.0, 1.0, (200, 3))
     x, y, z = np.concatenate([triples[:, list(q)] for q in permutations(range(3))]).T
     pairs = _alpha_array(y, z), _alpha_array(x, z), _alpha_array(x, y)
-    values = _delta3(x, y, z, pairs, np.choose).reshape(6, -1)
+    values = _delta3(x, y, z, pairs, _pick_exact).reshape(6, -1)
     yield "delta3_permutation_bitwise", "-", "200 random triples", _gap(values, values[0]), 0.0, 0.0
 
-    axis = np.linspace(0.01, 0.70, 50).tolist()
-    gap = _gap([h_identity(x, y) for x in axis for y in axis], _HALF_PI)
+    axis = np.linspace(0.01, 0.70, 50)
+    gap = _gap(_h_identity_array(*_grid(axis, axis)), _HALF_PI)
     yield "h_identity_constant", "-", "50x50 grid", gap, 0.0, 1e-12
 
     area = cap_intersection_area(_HALF_PI, _HALF_PI, _HALF_PI)
@@ -726,16 +727,25 @@ def _scalar_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tup
         yield "alpha_vs_integral", "circular", [x, y], alpha(x, y), oracle_val, 1e-8
 
 
-def _model_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tuple]:
-    """The copula properties of each model's closed forms."""
+def _grid_rows(models: list) -> Iterator[tuple]:
+    # The marginal and monotonicity rows from each model's CDF on one
+    # 41-per-axis grid, evaluated once.  The grid ends at 1.0, so index -1
+    # of an axis is the upper edge of the cube.  Returns the gap of
+    # spherical_margin_collapse, the sphere's grid at z = 1 against the
+    # circular one, so that no grid outlives these rows.
     grid = np.linspace(-1.0, 1.0, 41)
+    cdfs = {
+        m.describe(): evaluate(m, "cdf", *np.meshgrid(*[grid] * m.dim, indexing="ij", sparse=True))
+        for m in models
+    }
     for m in models:
-        edges = (evaluate(m, "cdf", *(grid if j == k else 1.0 for j in range(m.dim))) for k in range(m.dim))
-        gap = _gap(np.stack(list(edges)), (grid + 1.0) / 2.0)
+        values = cdfs[m.describe()]
+        edges = [values[tuple(slice(None) if j == k else -1 for j in range(m.dim))] for k in range(m.dim)]
+        gap = _gap(np.stack(edges), (grid + 1.0) / 2.0)
         yield "uniform_marginals", m.describe(), "41-point edge grids", gap, 0.0, 1e-12
 
     for m in models:
-        values = evaluate(m, "cdf", *np.meshgrid(*[grid] * m.dim, indexing="ij", sparse=True))
+        values = cdfs[m.describe()]
         violation = max(
             float(np.max(values - 1.0)),
             float(np.max(-values)),
@@ -743,7 +753,12 @@ def _model_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tupl
             *(float(np.max(-np.diff(values, axis=k), initial=0.0)) for k in range(m.dim)),
         )
         yield "cdf_range_and_monotonicity", m.describe(), "41-per-axis grid", violation, 0.0, 1e-12
+    return _gap(cdfs["spherical"][:, :, -1], cdfs["circular"])
 
+
+def _model_rows(cfg: VerifyConfig, models: list) -> Iterator[tuple]:
+    """The copula properties of each model's closed forms."""
+    margin_gap = yield from _grid_rows(models)
     for i, m in enumerate(models):
         # Every corner of a block of rectangles in one evaluate: axis k of
         # the mesh holds the lower and the upper value of coordinate k, and
@@ -774,9 +789,7 @@ def _model_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tupl
     gap = _gap(evaluate(circle, "survival", u, v), evaluate(circle, "cdf", -u, -v))
     yield "circular_survival_reflection", "circular", "21x21 grid", gap, 0.0, 0.0
 
-    x, y = np.meshgrid(grid, grid, indexing="ij", sparse=True)
-    gap = _gap(evaluate(sphere, "cdf", x, y, 1.0), evaluate(circle, "cdf", x, y))
-    yield "spherical_margin_collapse", "spherical", "41x41 grid", gap, 0.0, 1e-12
+    yield "spherical_margin_collapse", "spherical", "41x41 grid", margin_gap, 0.0, 1e-12
 
     # One draw of 100 triples is the stream of 100 draws of three.
     triples = _rng(cfg, 4).uniform(-1.0, 1.0, (100, 3))
@@ -846,8 +859,8 @@ def _sampler_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tu
 
     for m in models:
         moments = moment_check(batches[m.describe()])
-        worst = max(abs(e.value - 1.0 / 3.0) for e in moments)
-        band = 4.0 * max(e.std_error for e in moments)
+        worst = _gap([e.value for e in moments], 1.0 / 3.0)
+        band = 4.0 * float(np.max([e.std_error for e in moments]))
         yield "second_moment_one_third", m.describe(), size, worst, 0.0, band
 
     for g in _GAMMAS:
@@ -925,7 +938,7 @@ def _quadrature_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator
 
     sph = SphericalCopula()
     pts = batches[sph.describe()].points
-    worst = 0.0
+    excess = []
     for r in _random_rectangles(_rng(cfg, 12), 5, 3):
         within = [(col > lo) & (col <= hi) for col, lo, hi in zip(pts.T, r.lower, r.upper)]
         emp = np.count_nonzero(np.logical_and.reduce(within)) / len(pts)
@@ -933,8 +946,21 @@ def _quadrature_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator
         # Band from the closed-form probability: the empirical variance of
         # a rare rectangle can be spuriously zero.
         se = math.sqrt(max(vol * (1.0 - vol), 0.0) / cfg.n_samples)
-        worst = max(worst, abs(vol - emp) - 4.0 * se - 1e-9)
+        excess.append(abs(vol - emp) - 4.0 * se - 1e-9)
+    # At least 0.0, and NaN if any box's is.
+    worst = float(np.max(excess, initial=0.0))
     yield "spherical_rect_mass_vs_mc", "spherical", "5 random boxes", worst, 0.0, 0.0
+
+
+def _sampled_rows(cfg: VerifyConfig, models: list) -> Iterator[tuple]:
+    # One sample batch per model, shared by the sampled rows: drawn after
+    # the closed-form rows, so that it is not held beside their CDF grids.
+    batches = {
+        m.describe(): m.sample(cfg.n_samples, _derived_seed(cfg.seed, 1000 + i))
+        for i, m in enumerate(models)
+    }
+    yield from _sampler_rows(cfg, models, batches)
+    yield from _quadrature_rows(cfg, models, batches)
 
 
 def verify_suite(config: VerifyConfig | None = None) -> VerificationReport:
@@ -958,23 +984,18 @@ def verify_suite(config: VerifyConfig | None = None) -> VerificationReport:
         *[EllipticalCopula(g) for g in _GAMMAS],
         NonlinearDiskCopula(),
     ]
-    # One sample batch per model, shared by the sampled rows.
-    batches = {
-        m.describe(): m.sample(cfg.n_samples, _derived_seed(cfg.seed, 1000 + i))
-        for i, m in enumerate(models)
-    }
     checks = []
-    for layer in (_scalar_rows, _model_rows, _sampler_rows, _quadrature_rows):
-        for name, model, input_, closed, oracle_val, tol, *passed in layer(cfg, models, batches):
-            tol = tol * cfg.tol_scale
-            diff = abs(closed - oracle_val)
-            ok = passed[0] if passed else diff <= tol
-            checks.append(
-                CheckResult(
-                    name, model, input_, float(closed), float(oracle_val),
-                    float(diff), float(tol), bool(ok),
-                )
+    rows = chain(_scalar_rows(cfg, models), _model_rows(cfg, models), _sampled_rows(cfg, models))
+    for name, model, input_, closed, oracle_val, tol, *passed in rows:
+        tol = tol * cfg.tol_scale
+        diff = abs(closed - oracle_val)
+        ok = passed[0] if passed else diff <= tol
+        checks.append(
+            CheckResult(
+                name, model, input_, float(closed), float(oracle_val),
+                float(diff), float(tol), bool(ok),
             )
+        )
     return VerificationReport(
         seed=cfg.seed,
         checks=tuple(checks),

@@ -78,10 +78,11 @@ def _check_gamma(gamma: float) -> None:
 
 # The private kernels below, and the copulas kernels built on them, take
 # their elementwise primitives as default arguments: scalar callers get
-# math.sqrt, max, min, math.atan2, sigma and a tuple index, and the array
-# path of copulas.evaluate passes elementwise equivalents that round and
-# choose the same way, so both paths run one expression and agree bit for
-# bit.  Arithmetic and the builtin abs serve both paths as they are.
+# math.sqrt, max, min, math.atan2, the clamped math.asin, sigma and a tuple
+# index, and the array paths of copulas.evaluate and the verify suite pass
+# elementwise equivalents that round and choose the same way, so both paths
+# run one expression and agree bit for bit.  Arithmetic and the builtin abs
+# serve both paths as they are.
 
 
 def _atan2_sum(u, v, a, b, c, w, atan2=math.atan2):
@@ -223,15 +224,16 @@ def h_identity(x: float, y: float) -> float:
         raise DomainError(
             f"h_identity requires 0 < x^2 + y^2 < 1, got x^2 + y^2 = {s!r}"
         )
-    cx = math.sqrt(1.0 - x * x)
-    cy = math.sqrt(1.0 - y * y)
-    rt = math.sqrt(1.0 - s)
-    r = math.sqrt(s)
-    return (
-        _clamped_asin(x * y / (cx * cy))
-        + _clamped_asin(x * rt / (cx * r))
-        + _clamped_asin(y * rt / (cy * r))
-    )
+    return _h_identity(x, y)
+
+
+def _h_identity(x, y, sqrt=math.sqrt, asin=_clamped_asin):
+    s = x * x + y * y
+    cx = sqrt(1.0 - x * x)
+    cy = sqrt(1.0 - y * y)
+    rt = sqrt(1.0 - s)
+    r = sqrt(s)
+    return asin(x * y / (cx * cy)) + asin(x * rt / (cx * r)) + asin(y * rt / (cy * r))
 
 
 def cap_intersection_area(r1: float, r2: float, d: float) -> float:

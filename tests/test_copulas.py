@@ -318,6 +318,42 @@ def test_sampler_determinism(model):
     assert len(b1) == 500
 
 
+def _stacked_draw(model, n, seed):
+    # The samplers' former form: each coordinate drawn as its own array and
+    # np.column_stack'ed into a row-major batch, clipped to the cube.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if isinstance(model, SphericalCopula):
+        z = rng.uniform(-1.0, 1.0, n)
+        theta = rng.uniform(0.0, 2.0 * math.pi, n)
+        rho = np.sqrt(1.0 - z * z)
+        points = np.column_stack((rho * np.cos(theta), rho * np.sin(theta), z))
+    elif isinstance(model, NonlinearDiskCopula):
+        theta = rng.uniform(0.0, 2.0 * math.pi, n)
+        r = np.sqrt(rng.uniform(0.0, 1.0, n))
+        x, y = r * np.cos(theta), r * np.sin(theta)
+        points = np.column_stack((x / np.sqrt(1.0 - y * y), y / np.sqrt(1.0 - x * x)))
+    else:
+        theta = rng.uniform(0.0, 2.0 * math.pi, n)
+        w = rng.uniform(0.0, 1.0, n)
+        r = np.sqrt(1.0 - w * w)
+        points = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+        if isinstance(model, EllipticalCopula):
+            g = model.gamma
+            points[:, 1] = points[:, 0] * math.sin(g) + points[:, 1] * math.cos(g)
+    return np.clip(points, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.describe())
+def test_sampler_fills_columns_with_the_stacked_draw(model):
+    # Every batch is column-major, and holds the bits of the row-major
+    # draw, so the streams and the CSV rows are unchanged.
+    for n, seed in ((1, 5), (2, 0), (999, 2**64 - 1), (20000, 20260810)):
+        points = model.sample(n, seed).points
+        assert points.shape == (n, model.dim) and points.flags.f_contiguous
+        want = _stacked_draw(model, n, seed)
+        assert np.ascontiguousarray(points).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.describe())
 def test_sampler_support(model):
     pts = model.sample(20000, 2024).points

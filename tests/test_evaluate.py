@@ -7,6 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ballcopulas import (
     CircularCopula,
@@ -20,12 +21,13 @@ from ballcopulas import (
     cdf_volume,
     delta3,
     evaluate,
+    h_identity,
     spherical_cdf,
 )
 from ballcopulas.copulas import _corner_sum, _max_exact, _min_exact, _sign_exact
-from ballcopulas.copulas import _SLAB, _atan2_exact
+from ballcopulas.copulas import _SLAB, _asin_exact, _atan2_exact, _h_identity_array
 from ballcopulas.oracle import _first_min
-from ballcopulas.special_math import _middle, sigma
+from ballcopulas.special_math import _clamped_asin, _middle, sigma
 
 HALF_PI = 0.5 * math.pi
 GAMMAS = [0.0, math.pi / 8, -math.pi / 4, 1.5707963, -1.5707963, HALF_PI - 1e-12, -(HALF_PI - 1e-12)]
@@ -246,6 +248,22 @@ def test_atan2_exact_matches_math_atan2_on_and_off_the_support():
         assert got.tobytes() == want.tobytes()
 
 
+def test_h_identity_array_matches_scalar():
+    # The kernel of h_identity on the arrays of verify's 50x50 grid, and
+    # the exact asin map on the clamp's edge cases: -0.0, +-1 and values
+    # beyond 1 by at most 1e-12, which clamp; NaN, which clamps to -1 as
+    # max(-1.0, nan) does; and beyond 1 + 1e-12, which raises.
+    axis = np.linspace(0.01, 0.70, 50)
+    x, y = (t.ravel() for t in np.meshgrid(axis, axis, indexing="ij"))
+    want = np.array([h_identity(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    assert _h_identity_array(x, y).tobytes() == want.tobytes()
+    t = np.array([-1.0 - 1e-12, -1.0, -0.0, 0.0, 0.5, 1.0, 1.0 + 5e-13, math.nan])
+    want = np.array([_clamped_asin(v) for v in t.tolist()])
+    assert _asin_exact(t).tobytes() == want.tobytes()
+    with pytest.raises(DomainError, match="exceeds 1 in magnitude"):
+        _asin_exact(np.array([0.5, -1.0 - 3e-12, 0.0]))
+
+
 def test_spherical_outside_ball_equals_scalar():
     # Outside the ball both paths reuse the three pair alphas up to sign.
     # Points on the sphere, ties
@@ -318,3 +336,24 @@ def test_spherical_kernels_match_sort_based_reference():
     assert (bits([model.survival(*p) for p in triples]) == want_survival).all()
     assert (evaluate(model, "cdf", *points.T).view(np.int64) == want_cdf).all()
     assert (evaluate(model, "survival", *points.T).view(np.int64) == want_survival).all()
+
+
+# Zero, 1 and one ulp inside each, and any float of [-1, 1]; each triple
+# takes its coordinates from one to three of them and their negations, so
+# ties (x == y, and 0.0 == -0.0), signed zeros and points on and outside
+# the sphere are frequent.  A batch of such triples goes to evaluate at
+# once, so the delta3 term picked element by element meets every order.
+_HARD = st.one_of(
+    st.sampled_from([0.0, 1.0, math.nextafter(1.0, 0.0), math.nextafter(0.0, 1.0)]),
+    st.floats(-1.0, 1.0),
+)
+_TRIPLE = st.lists(_HARD, min_size=1, max_size=3).flatmap(
+    lambda values: st.tuples(*[st.sampled_from([*values, *(-t for t in values)])] * 3)
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(triples=st.lists(_TRIPLE, min_size=1, max_size=40))
+def test_spherical_evaluate_keeps_the_scalar_bits(triples):
+    # assert_bits compares with SphericalCopula().cdf, which is spherical_cdf.
+    assert_bits(SphericalCopula(), "cdf", np.array(triples, dtype=float).T)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -582,6 +583,21 @@ def test_moment_check():
         moment_check(SampleBatch(SphericalCopula(), 23, np.empty((0, 3))))
 
 
+def test_moment_check_means_are_exactly_rounded_sums():
+    # Each coordinate's squares are summed pairwise: on the six batches of
+    # the default verify, every mean is within 1e-16 of the exactly rounded
+    # one, where a sum row by row along a strided column erred by 5.6e-15.
+    models = [CircularCopula(), SphericalCopula(), *(EllipticalCopula(g) for g in _GAMMAS), NonlinearDiskCopula()]
+    n = 200_000
+    for i, m in enumerate(models):
+        batch = m.sample(n, oracle._derived_seed(20260810, 1000 + i))
+        for est, column in zip(moment_check(batch), batch.points.T):
+            assert abs(est.value - math.fsum((column * column).tolist()) / n) <= 1e-16
+        # A row-major copy of the batch gives the same bits.
+        rows = SampleBatch(m, batch.seed, np.ascontiguousarray(batch.points))
+        assert moment_check(rows) == moment_check(batch)
+
+
 # --- verification suite -------------------------------------------------
 
 SMALL = dict(n_samples=20000, rect_count=500)
@@ -965,9 +981,13 @@ def test_nan_after_the_first_part_fails_its_row(monkeypatch):
         return spoil(values) if np.all(np.signbit(x)) and not np.any(np.signbit(y)) else values
 
     def spoiled_evaluate(model, kind, *coords):
-        # Every axis after the first of uniform_marginals.
+        # The edge of the last axis of uniform_marginals, at its first point
+        # (1, ..., 1, -1), in the shared 41-per-axis CDF grid.
         values = evaluate_(model, kind, *coords)
-        return spoil(values) if isinstance(coords[0], float) and coords[0] == 1.0 else values
+        if values.shape == (41,) * model.dim:
+            values = values.copy()
+            values[(-1,) * (model.dim - 1) + (0,)] = math.nan
+        return values
 
     def spoiled_inverse(*args):
         # The y coordinate of nonlinear_round_trip.
@@ -982,3 +1002,35 @@ def test_nan_after_the_first_part_fails_its_row(monkeypatch):
     assert len(checks) == 1 + 6 + 1
     for check in checks:
         assert math.isnan(check.closed_form) and not check.passed, check
+
+
+def test_nan_in_a_later_part_fails_the_sampled_rows(monkeypatch):
+    # second_moment_one_third and spherical_rect_mass_vs_mc take one maximum
+    # over their parts, so a NaN moment of the last coordinate or a NaN
+    # volume of the second box fails the row, where Python's max over the
+    # parts would skip it.
+    moments, volume = oracle.moment_check, oracle.cdf_volume
+    boxes = []
+
+    def spoiled_moments(batch):
+        estimates = moments(batch)
+        estimates[-1] = dataclasses.replace(estimates[-1], value=math.nan, std_error=math.nan)
+        return estimates
+
+    def spoiled_volume(model, rect):
+        if rect.dim == 3:
+            boxes.append(rect)
+            if len(boxes) == 2:
+                return math.nan
+        return volume(model, rect)
+
+    monkeypatch.setattr(oracle, "moment_check", spoiled_moments)
+    monkeypatch.setattr(oracle, "cdf_volume", spoiled_volume)
+    checks = verify_suite(VerifyConfig(seed=7, include_timestamp=False, **SMALL)).checks
+    rows = [c for c in checks if c.name == "second_moment_one_third"]
+    assert len(rows) == 6 and len(boxes) == 5
+    for check in rows:
+        # The worst gap and the band.
+        assert math.isnan(check.closed_form) and math.isnan(check.tol) and not check.passed, check
+    (check,) = [c for c in checks if c.name == "spherical_rect_mass_vs_mc"]
+    assert math.isnan(check.closed_form) and not check.passed, check
