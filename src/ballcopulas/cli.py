@@ -32,7 +32,7 @@ import numpy as np
 
 from .copulas import EllipticalCopula, evaluate, model_from_name
 from .errors import BallCopulasError, NotAbsolutelyContinuousError
-from .oracle import QuadratureSpec, VerifyConfig, verify_suite
+from .oracle import VerifyConfig, verify_suite
 from .special_math import cap_intersection_area
 
 EXIT_OK = 0
@@ -147,7 +147,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # One VerifyConfig field per flag; the flags' defaults are the fields'.
     config = VerifyConfig(
         seed=args.seed, n_samples=args.n, rect_count=args.rects,
-        quadrature=QuadratureSpec(abs_tol=args.abs_tol), tol_scale=args.tol_scale,
+        abs_tol=args.abs_tol, tol_scale=args.tol_scale,
         include_timestamp=not args.no_timestamp,
     )
     report = verify_suite(config)
@@ -231,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol-scale", type=float, default=VerifyConfig.tol_scale, help="scale all check tolerances"
     )
     p_verify.add_argument(
-        "--abs-tol", type=float, default=QuadratureSpec.abs_tol, help="quadrature absolute tolerance"
+        "--abs-tol", type=float, default=VerifyConfig.abs_tol, help="quadrature absolute tolerance"
     )
     p_verify.add_argument("--out", default=None, help="report path (default stdout)")
     p_verify.add_argument(

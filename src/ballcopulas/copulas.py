@@ -705,17 +705,22 @@ def evaluate(model: CopulaModel, quantity: str, *coords) -> np.ndarray:
     ``evaluate(m, "cdf", *np.meshgrid(x, y, z, indexing="ij",
     sparse=True))``, takes each pair once per distinct pair of its axis
     values.  Survival is the CDF kernel at the reflected point, as in the
-    scalar methods.  A point outside the cube raises :class:`DomainError`,
-    and the spherical density raises :class:`NotAbsolutelyContinuousError`
-    as the scalar method does, on an empty input too: the kernel always
-    runs on at least one slab.
+    scalar methods.  A point outside the cube, or coordinates that do not
+    broadcast, raise :class:`DomainError`, and the spherical density raises
+    :class:`NotAbsolutelyContinuousError` as the scalar method does, on an
+    empty input too: the kernel always runs on at least one slab.
     """
     if quantity not in ("pdf", "cdf", "survival"):
         raise DomainError(f"unknown quantity {quantity!r}")
     if len(coords) != model.dim:
         raise DomainError(f"{model.describe()} takes {model.dim} coordinates, got {len(coords)}")
     arrays = [np.asarray(c, dtype=float) for c in coords]
-    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    shapes = [a.shape for a in arrays]
+    try:
+        shape = np.broadcast_shapes(*shapes)
+    except ValueError:
+        shown = ", ".join(map(str, shapes))
+        raise DomainError(f"evaluate: coordinate shapes {shown} do not broadcast") from None
     cols = [np.broadcast_to(a, shape).ravel() for a in arrays]
     outside = ~np.logical_and.reduce([np.abs(c) <= 1.0 for c in cols])
     if outside.any():

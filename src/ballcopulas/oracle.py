@@ -22,7 +22,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from itertools import chain, permutations
 from typing import ClassVar, Iterable, Iterator
@@ -63,11 +63,9 @@ from .errors import (
 from .special_math import _HALF_PI, _TWO_PI, _delta3, alpha, cap_intersection_area
 
 __all__ = [
-    "DEFAULT_QUADRATURE",
     "KS_CRITICAL_COEFF",
     "CheckResult",
     "MCEstimate",
-    "QuadratureSpec",
     "VerificationReport",
     "VerifyConfig",
     "integrate_adaptive",
@@ -92,29 +90,8 @@ _GAMMAS = (-math.pi / 4, math.pi / 8, math.pi / 4)
 # Gauss-Legendre order of every quadrature panel.
 _GL_ORDER = 64
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Settings for the adaptive Gauss-Legendre integrator.
-
-    ``max_subdivisions`` caps the number of panel evaluations of each
-    integral; exceeding it raises :class:`QuadratureError`.
-    """
-
-    abs_tol: float = 1e-9
-    max_subdivisions: int = 1 << 20
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be finite and positive, got {self.abs_tol!r}")
-        # An integer type, so that NaN cannot slip past the panel cap.
-        m = self.max_subdivisions
-        if not (isinstance(m, (int, np.integer)) and m >= 4):
-            raise DomainError(f"max_subdivisions must be an integer of at least 4, got {m!r}")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
+# Most panel evaluations of one integral; past it, QuadratureError.
+_MAX_PANELS = 1 << 20
 
 # Most integrand points per call of ``f``: a level of panels wider than
 # this is evaluated in chunks, so that memory stays bounded however many
@@ -148,19 +125,23 @@ def _panels(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> np.ndarray:
     return half * sums
 
 
-def integrate_adaptive(
-    f, a: float, b: float, spec: QuadratureSpec | None = None, points: Iterable[float] = ()
-) -> float:
+def _check_abs_tol(abs_tol: float) -> None:
+    if not (math.isfinite(abs_tol) and abs_tol > 0.0):
+        raise DomainError(f"abs_tol must be finite and positive, got {abs_tol!r}")
+
+
+def integrate_adaptive(f, a: float, b: float, abs_tol: float = 1e-9, points: Iterable[float] = ()) -> float:
     """Adaptively integrate a vectorized integrand ``f`` over ``[a, b]``.
 
     ``points`` say where ``f`` has kinks, which bisection can converge
     falsely across: the first level has one panel between each two
     consecutive distinct values of ``a``, the points inside ``(a, b)`` and
     ``b``, in any order.  A non-finite point raises :class:`DomainError`,
-    as a non-finite limit does.  Panels of order-64 Gauss-Legendre are
-    bisected until each halving changes the panel value by at most
-    ``abs_tol`` times the panel's share of ``[a, b]``, and
-    ``max_subdivisions`` caps every panel evaluated.  The panels are
+    as a non-finite limit or an ``abs_tol`` that is not finite and positive
+    does.  Panels of order-64 Gauss-Legendre are bisected until each
+    halving changes the panel value by at most ``abs_tol`` times the
+    panel's share of ``[a, b]``; past 2^20 panel evaluations it raises
+    :class:`QuadratureError`.  The panels are
     evaluated one level at a time: the halves of every panel of a level go
     to ``f`` together, in calls of a bounded number of points, and ``f``
     must act element by element.  The accepted panels are summed in
@@ -169,17 +150,18 @@ def integrate_adaptive(
     are those of refining one panel per call.  This is the batch of one of
     the level loop that the oracles below run over many integrals at once.
     """
-    return _integrate_many(lambda s, k: f(s), [a], [b], spec or DEFAULT_QUADRATURE, [points])[0]
+    return _integrate_many(lambda s, k: f(s), [a], [b], abs_tol, [points])[0]
 
 
-def _integrate_many(f, a, b, spec: QuadratureSpec, points) -> list[float]:
+def _integrate_many(f, a, b, abs_tol: float, points) -> list[float]:
     # integrate_adaptive over [a[k], b[k]] with kinks points[k] for every k:
     # f(s, k) gets the integral index k of each point s.  Every integral
     # keeps the panel tree, the bits and the raise it has alone, since
-    # max_subdivisions caps each integral's panels.  A group of consecutive
+    # _MAX_PANELS caps each integral's panels.  A group of consecutive
     # integrals is refined in one level loop while its panels fit the cap in
     # all, so memory stays that of one integral; a group that outgrows the
     # cap before any of its integrals does starts over in halves.
+    _check_abs_tol(abs_tol)
     a, b, points = list(a), list(b), [list(p) for p in points]
     if not all(math.isfinite(e) for e in chain(a, b, *points)):
         raise DomainError("integration limits and points must be finite")
@@ -196,18 +178,18 @@ def _integrate_many(f, a, b, spec: QuadratureSpec, points) -> list[float]:
     groups = [(0, len(a))]
     while groups:
         start, stop = groups.pop()
-        if not _refine_group(f, edges, full, spec, start, stop, totals):
+        if not _refine_group(f, edges, full, abs_tol, start, stop, totals):
             middle = (start + stop) // 2
             groups += [(middle, stop), (start, middle)]
     return totals
 
 
-def _refine_group(f, edges, full, spec: QuadratureSpec, start: int, stop: int, totals: list) -> bool:
+def _refine_group(f, edges, full, abs_tol: float, start: int, stop: int, totals: list) -> bool:
     # Refine integrals start .. stop - 1 in one level loop and add each
     # one's value to totals.  Returns False, with totals untouched, when the
     # group's panels would pass the cap in all while each integral's stay
     # within it; raises QuadratureError when one integral's pass it.
-    cap = spec.max_subdivisions
+    cap = _MAX_PANELS
     lo = [e for k in range(start, stop) for e in edges[k][:-1]]
     hi = [e for k in range(start, stop) for e in edges[k][1:]]
     owner = [k for k in range(start, stop) for _ in edges[k][1:]]
@@ -224,8 +206,7 @@ def _refine_group(f, edges, full, spec: QuadratureSpec, start: int, stop: int, t
         evaluations += 2 * np.bincount(owner - start, minlength=stop - start)
         if evaluations.max() > cap:
             raise QuadratureError(
-                f"no convergence to abs_tol={spec.abs_tol!r} within "
-                f"{spec.max_subdivisions} panel evaluations"
+                f"no convergence to abs_tol={abs_tol!r} within {cap} panel evaluations"
             )
         if evaluations.sum() > cap:
             return False
@@ -238,7 +219,7 @@ def _refine_group(f, edges, full, spec: QuadratureSpec, start: int, stop: int, t
         # Per-panel budget proportional to width keeps each integral's
         # summed error below abs_tol; the width floor stops infinite
         # refinement at integrable endpoint singularities.
-        done = (np.abs(refined - whole) <= spec.abs_tol * (width / full[owner])) | (
+        done = (np.abs(refined - whole) <= abs_tol * (width / full[owner])) | (
             width <= 16.0 * np.spacing(np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0))
         )
         accepted_lo.append(lo[done])
@@ -265,9 +246,7 @@ def _refine_group(f, edges, full, spec: QuadratureSpec, start: int, stop: int, t
 _ENDPOINT_PULL = 1e-14
 
 
-def quad_survival_circular(
-    x: float, y: float, spec: QuadratureSpec | None = None
-) -> float:
+def quad_survival_circular(x: float, y: float, abs_tol: float = 1e-9) -> float:
     """Tail probability of the circular model by 1-D quadrature.
 
     Evaluates ``(1/(2*pi)) * integral_x^{sqrt(1-y^2)} [pi/2 -
@@ -276,20 +255,20 @@ def quad_survival_circular(
     margin of the uniform sphere is the circular law.  Independent of the
     closed form, so it serves as its oracle.
     """
-    return _circular_tails([(x, y)], spec or DEFAULT_QUADRATURE)[0]
+    return _circular_tails([(x, y)], abs_tol)[0]
 
 
-def _circular_tails(points, spec: QuadratureSpec) -> list[float]:
+def _circular_tails(points, abs_tol: float) -> list[float]:
     # quad_survival_circular at every (x, y) of points, as one batch.
     for x, y in points:
         if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
             raise DomainError(f"quad_survival_circular: ({x!r}, {y!r}) outside [0, 1]^2")
         if not x * x + y * y < 1.0:
             raise DomainError("quad_survival_circular requires x^2 + y^2 < 1")
-    return [2.0 * v for v in _tail_integrals([(x, y, 0.0) for x, y in points], spec)]
+    return [2.0 * v for v in _tail_integrals([(x, y, 0.0) for x, y in points], abs_tol)]
 
 
-def _tail_integrals(points, spec: QuadratureSpec) -> list[float]:
+def _tail_integrals(points, abs_tol: float) -> list[float]:
     # The x-first tail integral, over 4*pi, at every (x, y, z) of points, as
     # one batch; an integral whose upper limit falls to x or below is 0.0.
     x, y, z = np.array(points, float).reshape(-1, 3).T
@@ -303,12 +282,10 @@ def _tail_integrals(points, spec: QuadratureSpec) -> list[float]:
         )
 
     hi = np.sqrt(1.0 - y * y - z * z) - _ENDPOINT_PULL
-    return [v / _FOUR_PI for v in _integrate_many(integrand, x.tolist(), hi.tolist(), spec, [()] * x.size)]
+    return [v / _FOUR_PI for v in _integrate_many(integrand, x.tolist(), hi.tolist(), abs_tol, [()] * x.size)]
 
 
-def quad_survival_spherical(
-    x: float, y: float, z: float, spec: QuadratureSpec | None = None
-) -> float:
+def quad_survival_spherical(x: float, y: float, z: float, abs_tol: float = 1e-9) -> float:
     """First-octant tail probability of the spherical model by quadrature.
 
     Evaluates ``(1/(4*pi)) * integral_x^{sqrt(1-y^2-z^2)} [pi/2
@@ -317,18 +294,17 @@ def quad_survival_spherical(
     one batch, and must agree within ``10 * abs_tol``,
     otherwise :class:`OracleInconsistencyError` is raised.
     """
-    spec = spec or DEFAULT_QUADRATURE
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 and 0.0 <= z <= 1.0):
         raise DomainError(
             f"quad_survival_spherical: ({x!r}, {y!r}, {z!r}) outside [0, 1]^3"
         )
     if not x * x + y * y + z * z < 1.0:
         raise DomainError("quad_survival_spherical requires x^2 + y^2 + z^2 < 1")
-    values = _tail_integrals(list(permutations((x, y, z))), spec)
-    if max(values) - min(values) > 10.0 * spec.abs_tol:
+    values = _tail_integrals(list(permutations((x, y, z))), abs_tol)
+    if max(values) - min(values) > 10.0 * abs_tol:
         raise OracleInconsistencyError(
             f"permutations of the tail integral disagree: spread "
-            f"{max(values) - min(values)!r} exceeds {10.0 * spec.abs_tol!r}"
+            f"{max(values) - min(values)!r} exceeds {10.0 * abs_tol!r}"
         )
     return values[0]
 
@@ -386,23 +362,21 @@ def _support_kinks(sg: float, cg: float, t_lo: float, t_hi: float) -> list[float
     return kinks
 
 
-def quad_mass_2d(
-    model: CopulaModel, rect: Rectangle, spec: QuadratureSpec | None = None
-) -> float:
+def quad_mass_2d(model: CopulaModel, rect: Rectangle, abs_tol: float = 1e-9) -> float:
     """Probability mass of ``rect`` by quadrature of the model density.
 
     The inner integral is evaluated in closed form (arcsin difference for
     the disk-type densities, an explicit antiderivative for the nonlinear
     one), so the adaptive outer integrand is bounded.  It is one integral
     over the rectangle's width, whose first panels end where the bottom and
-    top edges meet the support boundary; ``spec.max_subdivisions`` caps the
-    panels of the whole rectangle.  Rejected for the spherical model, which
-    has no Lebesgue density.
+    top edges meet the support boundary, and it converges to ``abs_tol``
+    within 2^20 panel evaluations or raises :class:`QuadratureError`.
+    Rejected for the spherical model, which has no Lebesgue density.
     """
-    return _rect_masses(model, [rect], spec or DEFAULT_QUADRATURE)[0]
+    return _rect_masses(model, [rect], abs_tol)[0]
 
 
-def _rect_masses(model: CopulaModel, rects: list[Rectangle], spec: QuadratureSpec) -> list[float]:
+def _rect_masses(model: CopulaModel, rects: list[Rectangle], abs_tol: float) -> list[float]:
     # quad_mass_2d of every rectangle, as one batch; an empty rectangle is
     # an empty interval, of mass 0.0.
     if model.dim != 2:
@@ -425,7 +399,7 @@ def _rect_masses(model: CopulaModel, rects: list[Rectangle], spec: QuadratureSpe
     else:
         raise NotAbsolutelyContinuousError(f"unsupported model {model.name!r}")
     stop = np.where(t_hi > t_lo, s_hi, s_lo)
-    return _integrate_many(inner, s_lo.tolist(), stop.tolist(), spec, kinks)
+    return _integrate_many(inner, s_lo.tolist(), stop.tolist(), abs_tol, kinks)
 
 
 # ---------------------------------------------------------------------------
@@ -560,12 +534,13 @@ class VerificationReport:
 class VerifyConfig:
     """Settings for :func:`verify_suite`, one per flag of ``ballcop verify``;
     ``n_samples`` is the size of the one batch per model that every sampled
-    check reads, the Monte-Carlo CDF rows too."""
+    check reads, the Monte-Carlo CDF rows too, and ``abs_tol`` the
+    tolerance of every quadrature oracle."""
 
     seed: int = 20260810
     n_samples: int = 200_000
     rect_count: int = 10_000
-    quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
+    abs_tol: float = 1e-9
     tol_scale: float = 1.0
     include_timestamp: bool = True
 
@@ -579,6 +554,7 @@ class VerifyConfig:
                 raise DomainError(f"{name} must be an integer, got {count!r}")
             if count < least:
                 raise DomainError(f"verification needs at least {least} {what}")
+        _check_abs_tol(self.abs_tol)
         if not (math.isfinite(self.tol_scale) and self.tol_scale >= 0.0):
             raise DomainError(f"tol_scale must be finite and nonnegative, got {self.tol_scale!r}")
 
@@ -722,7 +698,7 @@ def _scalar_rows(cfg: VerifyConfig, models: list) -> Iterator[tuple]:
     yield "cap_area_vs_circular_survival", "circular", "100 random points", gap, 0.0, 1e-9
 
     points = ((0.3, 0.4), (0.1, 0.7), (0.5, 0.2), (0.45, 0.55), (0.05, 0.05))
-    for (x, y), tail in zip(points, _circular_tails(points, cfg.quadrature)):
+    for (x, y), tail in zip(points, _circular_tails(points, cfg.abs_tol)):
         oracle_val = tail - (1.0 - x - y) / 4.0
         yield "alpha_vs_integral", "circular", [x, y], alpha(x, y), oracle_val, 1e-8
 
@@ -904,22 +880,21 @@ def _sampler_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tu
 def _quadrature_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator[tuple]:
     """The closed forms against the quadrature oracles, and spherical box mass
     against the samples."""
-    spec = cfg.quadrature
     rng = _rng(cfg, 9)
     points = [(x, y) for x, y in (rng.uniform(0.0, 0.9, 2) for _ in range(10)) if x * x + y * y < 0.995]
     closed = [circular_survival(x, y) for x, y in points]
-    gap = _gap(closed, _circular_tails(points, spec))
+    gap = _gap(closed, _circular_tails(points, cfg.abs_tol))
     yield "quad_survival_circular_vs_closed", "circular", "10 random points", gap, 0.0, 1e-8
 
     axis = np.linspace(0.0, 0.9, 10).tolist()
-    tails = _circular_tails([(x, 0.0) for x in axis], spec)
+    tails = _circular_tails([(x, 0.0) for x in axis], cfg.abs_tol)
     gap = _gap(tails, [(1.0 - x) / 4.0 for x in axis])
     yield "quad_survival_circular_on_axis", "circular", "x in [0, 0.9], y = 0", gap, 0.0, 1e-8
 
     rng = _rng(cfg, 11)
     points = [rng.uniform(0.05, 0.55, 3) for _ in range(5)]
     closed = [spherical_survival(*p) for p in points for _ in range(6)]
-    tails = _tail_integrals([q for p in points for q in permutations(p)], spec)
+    tails = _tail_integrals([q for p in points for q in permutations(p)], cfg.abs_tol)
     where = "5 random points x 6 permutations"
     gap = _gap(closed, tails)
     yield "quad_survival_spherical_vs_closed", "spherical", where, gap, 0.0, 1e-8
@@ -927,13 +902,13 @@ def _quadrature_rows(cfg: VerifyConfig, models: list, batches: dict) -> Iterator
     planar = [m for m in models if m.dim == 2]
     square = Rectangle((-1.0, -1.0), (1.0, 1.0))
     for m in planar:
-        mass = quad_mass_2d(m, square, spec)
+        mass = quad_mass_2d(m, square, cfg.abs_tol)
         yield "density_normalization", m.describe(), "full square", mass, 1.0, 1e-9
 
     count = f"{_MASS_RECTS} random rectangles"
     for i, m in enumerate(planar):
         rects = _random_rectangles(_rng(cfg, 4000 + i), _MASS_RECTS, 2)
-        gap = _gap([cdf_volume(m, r) for r in rects], _rect_masses(m, rects, spec))
+        gap = _gap([cdf_volume(m, r) for r in rects], _rect_masses(m, rects, cfg.abs_tol))
         yield "rect_mass_vs_cdf_volume", m.describe(), count, gap, 0.0, 1e-6
 
     sph = SphericalCopula()
@@ -965,8 +940,8 @@ def _sampled_rows(cfg: VerifyConfig, models: list) -> Iterator[tuple]:
 
 def verify_suite(config: VerifyConfig | None = None) -> VerificationReport:
     """Run every invariant and oracle comparison.  A failed check does not
-    raise, but a quadrature oracle that cannot reach ``abs_tol`` raises
-    :class:`QuadratureError`.
+    raise, but a quadrature oracle that cannot reach ``config.abs_tol``
+    within 2^20 panel evaluations raises :class:`QuadratureError`.
 
     Each check is a row ``(name, model, input, closed_form, oracle, tol[,
     passed])``, and the layers yield their rows in report order; every random

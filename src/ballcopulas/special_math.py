@@ -264,8 +264,14 @@ def cap_intersection_area(r1: float, r2: float, d: float) -> float:
     c1, s1 = math.cos(r1), math.sin(r1)
     c2, s2 = math.cos(r2), math.sin(r2)
     cd, sd = math.cos(d), math.sin(d)
-    a0 = _clamped_arccos((cd - c1 * c2) / (s1 * s2))
-    a1 = _clamped_arccos((cd * c1 - c2) / (sd * s1))
-    a2 = _clamped_arccos((cd * c2 - c1) / (sd * s2))
+    s12, sd1, sd2 = s1 * s2, sd * s1, sd * s2
+    # A lens needs min(r) within 2^53 of max(r), so a product underflows to
+    # 0.0 only when every angle is below about 1.5e-154; the lens, at most
+    # pi * max(r)^2, is then 0.0 too.
+    if 0.0 in (s12, sd1, sd2):
+        return 0.0
+    a0 = _clamped_arccos((cd - c1 * c2) / s12)
+    a1 = _clamped_arccos((cd * c1 - c2) / sd1)
+    a2 = _clamped_arccos((cd * c2 - c1) / sd2)
     area = _TWO_PI * (1.0 - (c1 + c2)) - 2.0 * a0 + 2.0 * (c1 * a1 + c2 * a2)
     return min(max(area, 0.0), _TWO_PI)

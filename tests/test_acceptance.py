@@ -37,7 +37,7 @@ from ballcopulas import (
 )
 from ballcopulas.cli import main as cli_main
 from ballcopulas.copulas import _corner_sum
-from ballcopulas.oracle import DEFAULT_QUADRATURE, _rect_masses, _tail_integrals
+from ballcopulas.oracle import _rect_masses, _tail_integrals
 
 
 def _report(num: int, detail: str) -> None:
@@ -92,7 +92,7 @@ def test_criterion_02_spherical_closed_form_vs_integral():
     worst = 0.0
     points = _octant_ball_points(200)
     # Every permutation of every point in one batch of tail integrals.
-    tails = iter(_tail_integrals([q for p in points for q in permutations(p)], DEFAULT_QUADRATURE))
+    tails = iter(_tail_integrals([q for p in points for q in permutations(p)], 1e-9))
     for x, y, z in points:
         closed = spherical_survival(x, y, z)
         for _ in range(6):
@@ -237,7 +237,7 @@ def test_criterion_10_d_increasing_and_rectangle_mass():
             b = rng.uniform(-1.0, 1.0, 2)
             rects.append(Rectangle(tuple(np.minimum(a, b)), tuple(np.maximum(a, b))))
         # One batch of integrals per model: each mass is quad_mass_2d's.
-        for rect, mass in zip(rects, _rect_masses(model, rects, DEFAULT_QUADRATURE)):
+        for rect, mass in zip(rects, _rect_masses(model, rects, 1e-9)):
             diff = abs(cdf_volume(model, rect) - mass)
             worst_mass = max(worst_mass, diff)
             assert diff <= 1e-6

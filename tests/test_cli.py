@@ -396,6 +396,12 @@ def test_caparea(capsys):
     assert float(out.strip()) == 0.0
 
 
+def test_caparea_tiny_caps(capsys):
+    # Inside the documented domain, so a value and exit 0, not an internal
+    # error.
+    assert run(["caparea", "1e-300", "1e-300", "1e-300"], capsys)[:2] == (0, "0\n")
+
+
 def test_caparea_bad_configuration(capsys):
     code, _, err = run(["caparea", "0.2", "0.8", "0.5"], capsys)
     assert code == 2
@@ -426,7 +432,7 @@ def test_verify_flags_set_one_config_field_each(tmp_path, capsys, monkeypatch):
         "seed": ["--seed", "5"],
         "n_samples": ["--n", "5000"],
         "rect_count": ["--rects", "3"],
-        "quadrature": ["--abs-tol", "1e-7"],
+        "abs_tol": ["--abs-tol", "1e-7"],
         "tol_scale": ["--tol-scale", "2.0"],
         "include_timestamp": ["--no-timestamp"],
     }

@@ -18,6 +18,7 @@ from ballcopulas import (
     Rectangle,
     SphericalCopula,
     alpha,
+    alpha_gamma,
     cdf_volume,
     delta3,
     evaluate,
@@ -25,7 +26,8 @@ from ballcopulas import (
     spherical_cdf,
 )
 from ballcopulas.copulas import _corner_sum, _max_exact, _min_exact, _sign_exact
-from ballcopulas.copulas import _SLAB, _asin_exact, _atan2_exact, _h_identity_array
+from ballcopulas.copulas import _SLAB, _alpha_array, _alpha_gamma_array, _asin_exact, _atan2_exact
+from ballcopulas.copulas import _h_identity_array
 from ballcopulas.oracle import _first_min
 from ballcopulas.special_math import _clamped_asin, _middle, sigma
 
@@ -172,6 +174,9 @@ def test_evaluate_validation():
         evaluate(CircularCopula(), "cdf", [0.0], [0.0], [0.0])
     with pytest.raises(DomainError):
         evaluate(CircularCopula(), "quantile", [0.0], [0.0])
+    # Shapes that do not broadcast are named, not left to numpy's error.
+    with pytest.raises(DomainError, match=r"\(0, 4\), \(3, 1\)"):
+        evaluate(CircularCopula(), "cdf", np.zeros((0, 4)), np.zeros((3, 1)))
     for point in ([0.0], []):
         with pytest.raises(NotAbsolutelyContinuousError):
             evaluate(SphericalCopula(), "pdf", point, point, point)
@@ -357,3 +362,71 @@ _TRIPLE = st.lists(_HARD, min_size=1, max_size=3).flatmap(
 def test_spherical_evaluate_keeps_the_scalar_bits(triples):
     # assert_bits compares with SphericalCopula().cdf, which is spherical_cdf.
     assert_bits(SphericalCopula(), "cdf", np.array(triples, dtype=float).T)
+
+
+# --- the bit promises as properties ------------------------------------
+
+# +-0.0, +-1 and one ulp inside each, or any float of [-1, 1].
+_COORD = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0),
+        math.nextafter(0.0, 1.0), math.nextafter(0.0, -1.0),
+    ]),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def _point(draw, dim, gamma):
+    # A point of hard coordinates, or one within 1e-12 (relative) of the
+    # boundary of the support: the circle, the ellipse of gamma, or the
+    # sphere.
+    if draw(st.booleans()):
+        return draw(st.tuples(*[_COORD] * dim))
+    scale = 1.0 + draw(st.floats(-1e-12, 1e-12))
+    if dim == 3:
+        direction = draw(st.tuples(*[_COORD] * 3))
+        norm = math.hypot(*direction)
+        boundary = [t / norm for t in direction] if norm > 0.0 else [1.0, 0.0, 0.0]
+    else:
+        t = draw(st.floats(0.0, 2.0 * math.pi))
+        boundary = [math.cos(t), math.sin(t + gamma)]
+    return [min(1.0, max(-1.0, scale * c)) for c in boundary]
+
+
+@st.composite
+def _points(draw, dim, gamma=0.0):
+    # Hard and boundary points, and 32 uniform points of the cube from a
+    # drawn seed: hypothesis draws few generic floats, and an atan2 that
+    # misses by an ulp does so on a few percent of them.
+    hard = draw(st.lists(_point(dim, gamma), min_size=1, max_size=20))
+    bulk = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, (32, dim))
+    return hard + bulk.tolist()
+
+
+def _bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.describe())
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(data=st.data())
+def test_survival_is_the_cdf_at_the_reflected_point_bitwise(model, data):
+    # survival(p) == cdf(-p) for every model, on the scalar path and on the
+    # array path, and the two paths agree.
+    points = data.draw(_points(model.dim, getattr(model, "gamma", 0.0)))
+    columns = np.array(points).T
+    want = _bits([model.survival(*p) for p in points])
+    assert _bits([model.cdf(*(-t for t in p)) for p in points]) == want
+    assert _bits(evaluate(model, "survival", *columns)) == want
+    assert _bits(evaluate(model, "cdf", *-columns)) == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(zero=st.sampled_from([0.0, -0.0]), points=_points(2))
+def test_alpha_gamma_at_zero_is_alpha_bitwise(zero, points):
+    u, v = np.array(points).T
+    want = _bits([alpha(*p) for p in points])
+    assert _bits([alpha_gamma(zero, *p) for p in points]) == want
+    assert _bits(_alpha_gamma_array(zero, u, v)) == want
+    assert _bits(_alpha_array(u, v)) == want

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from functools import partial
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from ballcopulas import (
     NonlinearDiskCopula,
     NotAbsolutelyContinuousError,
     QuadratureError,
-    QuadratureSpec,
     Rectangle,
     SampleBatch,
     SphericalCopula,
@@ -55,35 +55,32 @@ SURV_SPH_02_03_04 = 0.033967720551638207
 
 # --- quadrature engine -------------------------------------------------
 
-def test_quadrature_spec_validation():
-    QuadratureSpec()
-    with pytest.raises(DomainError):
-        QuadratureSpec(abs_tol=0.0)
-    for bad in (math.inf, math.nan, -math.inf):
-        with pytest.raises(DomainError, match="finite"):
-            QuadratureSpec(abs_tol=bad)
-    with pytest.raises(DomainError):
-        QuadratureSpec(max_subdivisions=1)
-    # NaN never trips the panel cap (evaluations > nan is False), and a
-    # float is not a panel count.
-    for bad in (math.nan, math.inf, 64.0, True, "64"):
-        with pytest.raises(DomainError, match="integer"):
-            QuadratureSpec(max_subdivisions=bad)
-    assert QuadratureSpec(max_subdivisions=np.int64(4)).max_subdivisions == 4
+def test_abs_tol_validation():
+    # The integrator and VerifyConfig take the same rule, an empty interval
+    # too.
+    integrate_adaptive(np.sin, 0.0, 1.0, 1e-300)
+    VerifyConfig(abs_tol=1e-300)
+    for bad in (0.0, -1e-9, math.inf, math.nan, -math.inf):
+        for call in (
+            partial(integrate_adaptive, np.sin, 0.0, 1.0, bad),
+            partial(integrate_adaptive, np.sin, 1.0, 1.0, abs_tol=bad),
+            partial(VerifyConfig, abs_tol=bad),
+        ):
+            with pytest.raises(DomainError, match="abs_tol must be finite and positive"):
+                call()
 
 
 def test_integrate_known_values():
-    spec = QuadratureSpec()
-    assert abs(integrate_adaptive(lambda s: s * s, 0.0, 1.0, spec) - 1.0 / 3.0) <= 1e-9
-    assert abs(integrate_adaptive(np.sin, 0.0, math.pi, spec) - 2.0) <= 1e-9
+    assert abs(integrate_adaptive(lambda s: s * s, 0.0, 1.0, 1e-9) - 1.0 / 3.0) <= 1e-9
+    assert abs(integrate_adaptive(np.sin, 0.0, math.pi, 1e-9) - 2.0) <= 1e-9
     # bounded sqrt endpoint behavior, the worst case these oracles meet
-    assert abs(integrate_adaptive(np.sqrt, 0.0, 1.0, spec) - 2.0 / 3.0) <= 1e-9
+    assert abs(integrate_adaptive(np.sqrt, 0.0, 1.0, 1e-9) - 2.0 / 3.0) <= 1e-9
     quarter = integrate_adaptive(
-        lambda s: np.sqrt(np.maximum(1.0 - s * s, 0.0)), 0.0, 1.0, spec
+        lambda s: np.sqrt(np.maximum(1.0 - s * s, 0.0)), 0.0, 1.0, 1e-9
     )
     assert abs(quarter - math.pi / 4.0) <= 1e-9
     # A kink at a first-level panel edge.
-    vee = integrate_adaptive(lambda s: np.abs(s - 0.3), 0.0, 1.0, spec, points=[0.3])
+    vee = integrate_adaptive(lambda s: np.abs(s - 0.3), 0.0, 1.0, 1e-9, points=[0.3])
     assert abs(vee - 0.29) <= 1e-9
 
 
@@ -103,17 +100,18 @@ def bumpy(s):
     return np.sqrt(np.abs(np.sin(7.0 * s)))
 
 
-def test_integrate_reports_convergence_failure():
-    spec = QuadratureSpec(abs_tol=1e-13, max_subdivisions=5)
-    with pytest.raises(QuadratureError):
-        integrate_adaptive(bumpy, 0.0, 3.0, spec)
+def test_integrate_reports_convergence_failure(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_PANELS", 5)
+    with pytest.raises(QuadratureError, match="within 5 panel evaluations"):
+        integrate_adaptive(bumpy, 0.0, 3.0, 1e-13)
 
 
-def reference_integrate(f, a, b, spec, points=()):
+def reference_integrate(f, a, b, abs_tol, points=()):
     # The depth-first integrator that evaluates one panel per call of f,
     # frozen: the level-by-level one must return its float bit for bit and
-    # raise where it raises.  The pieces between the points start the
-    # stack in ascending order, so the rightmost is refined first.  A
+    # raise where it raises, under the same cap oracle._MAX_PANELS.  The
+    # pieces between the points start the stack in ascending order, so the
+    # rightmost is refined first.  A
     # panel's 64 weighted values are summed by halving, terms[:k] +
     # terms[k:2k] for k = 32, 16, ..., 1.
     nodes, weights = np.polynomial.legendre.leggauss(64)
@@ -137,12 +135,12 @@ def reference_integrate(f, a, b, spec, points=()):
         left = panel(lo, mid)
         right = panel(mid, hi)
         evaluations += 2
-        if evaluations > spec.max_subdivisions:
+        if evaluations > oracle._MAX_PANELS:
             raise QuadratureError("no convergence")
         refined = left + right
         width = hi - lo
         if (
-            abs(refined - whole) <= spec.abs_tol * (width / full)
+            abs(refined - whole) <= abs_tol * (width / full)
             or width <= 16.0 * math.ulp(max(abs(lo), abs(hi), 1.0))
         ):
             total += refined
@@ -160,13 +158,13 @@ def against_reference(monkeypatch):
     seen = []
     batch_core = oracle._integrate_many
 
-    def checked(f, a, b, spec, points):
+    def checked(f, a, b, abs_tol, points):
         a, b, points = list(a), list(b), [list(p) for p in points]
-        got = batch_core(f, a, b, spec, points)
+        got = batch_core(f, a, b, abs_tol, points)
         for k, (lo, hi, pts) in enumerate(zip(a, b, points)):
             alone = partial(_one_integral, f, k)
-            want = reference_integrate(alone, lo, hi, spec, pts) if lo < hi else 0.0
-            assert got[k].hex() == want.hex(), (lo, hi, spec, pts)
+            want = reference_integrate(alone, lo, hi, abs_tol, pts) if lo < hi else 0.0
+            assert got[k].hex() == want.hex(), (lo, hi, abs_tol, pts)
             seen.append((lo, hi))
         return got
 
@@ -208,7 +206,7 @@ def test_tail_batch_matches_reference(against_reference):
     points = [(x, y, 0.0) for x, y in rng.uniform(0.0, 0.7, (20, 2)).tolist()]
     points += [q for p in rng.uniform(0.0, 0.57, (6, 3)).tolist() for q in permutations(p)]
     points.append((math.nextafter(1.0, 0.0), 0.0, 0.0))
-    tails = oracle._tail_integrals(points, QuadratureSpec())
+    tails = oracle._tail_integrals(points, 1e-9)
     assert len(against_reference) == len(points)
     assert tails[-1] == 0.0
     for (x, y, _), tail in zip(points[:20], tails):
@@ -251,7 +249,7 @@ def test_rectangle_batch_matches_reference(against_reference, model):
     # The rectangles above as one batch, with a zero-width and a
     # zero-height one, which are empty intervals of mass 0.0.
     rects = _reference_rects() + [Rectangle((0.2, -1.0), (0.2, 1.0)), Rectangle((-0.5, 0.3), (0.5, 0.3))]
-    masses = oracle._rect_masses(model, rects, QuadratureSpec())
+    masses = oracle._rect_masses(model, rects, 1e-9)
     assert len(against_reference) == len(rects)
     assert masses[-2:] == [0.0, 0.0]
 
@@ -264,19 +262,20 @@ def _tally(sizes):
     return f
 
 
-def _bumpy_agrees_with_reference(a, b, spec, points):
+def _bumpy_agrees_with_reference(a, b, abs_tol, cap, points):
     # Both integrators raise, or both return the same bits from the same
     # number of integrand points, as the same panel tree does; a zero-width
     # first panel would show in the count, or under a small cap as an early
-    # raise.
+    # raise.  Both run with oracle._MAX_PANELS set to cap.
     got, want = [], []
-    try:
-        expected = reference_integrate(_tally(want), a, b, spec, points)
-    except QuadratureError:
-        with pytest.raises(QuadratureError):
-            integrate_adaptive(bumpy, a, b, spec, points)
-        return "raised"
-    assert integrate_adaptive(_tally(got), a, b, spec, points).hex() == expected.hex()
+    with mock.patch.object(oracle, "_MAX_PANELS", cap):
+        try:
+            expected = reference_integrate(_tally(want), a, b, abs_tol, points)
+        except QuadratureError:
+            with pytest.raises(QuadratureError):
+                integrate_adaptive(bumpy, a, b, abs_tol, points)
+            return "raised"
+        assert integrate_adaptive(_tally(got), a, b, abs_tol, points).hex() == expected.hex()
     assert sum(got) == sum(want)
     return "converged"
 
@@ -290,7 +289,7 @@ def test_convergence_failure_matches_reference(tol):
     cuts = [k * math.pi / 7 for k in (6, 1, 2, 3, 4, 5, 1, 6, 0, 7)] + [-0.0, 3.0, -1.0]
     for points, converged in (((), 14), (cuts, 44)):
         outcomes = [
-            _bumpy_agrees_with_reference(0.0, 3.0, QuadratureSpec(abs_tol=tol, max_subdivisions=cap), points)
+            _bumpy_agrees_with_reference(0.0, 3.0, tol, cap, points)
             for cap in range(4, 65)
         ]
         assert outcomes.count("converged") == (converged if tol == 1e-3 else 0), outcomes
@@ -316,17 +315,17 @@ _POINTS = st.lists(
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(a=st.sampled_from([-1.0, -0.0, 0.0]), points=_POINTS, cap=st.integers(4, 120))
 def test_integrate_with_points_matches_reference(a, points, cap):
-    _bumpy_agrees_with_reference(a, 2.0, QuadratureSpec(abs_tol=1e-3, max_subdivisions=cap), points)
+    _bumpy_agrees_with_reference(a, 2.0, 1e-3, cap, points)
 
 
-def test_integrate_memory_bounded_without_convergence():
+def test_integrate_memory_bounded_without_convergence(monkeypatch):
     # A tolerance no panel meets doubles every level until the panel cap;
     # the integrand still gets bounded chunks of points.  A batch refines
     # its integrals together only while their panels fit the cap in all, so
     # a batch of five peaks as one integral does.
-    spec = QuadratureSpec(abs_tol=1e-300, max_subdivisions=2**16)
-    batch = (lambda s, k: bumpy(s + k), [0.0] * 5, [3.0] * 5, spec, [()] * 5)
-    runs = (lambda: integrate_adaptive(bumpy, 0.0, 3.0, spec), lambda: oracle._integrate_many(*batch))
+    monkeypatch.setattr(oracle, "_MAX_PANELS", 2**16)
+    batch = (lambda s, k: bumpy(s + k), [0.0] * 5, [3.0] * 5, 1e-300, [()] * 5)
+    runs = (lambda: integrate_adaptive(bumpy, 0.0, 3.0, 1e-300), lambda: oracle._integrate_many(*batch))
     for run in runs:
         tracemalloc.start()
         try:
@@ -355,33 +354,32 @@ _BATCHES = st.lists(
 @given(batch=_BATCHES, cap=st.integers(4, 120))
 def test_batch_matches_one_at_a_time(batch, cap):
     # Each integral of a batch has the bits of the reference integrator
-    # alone and raises where it raises alone: max_subdivisions caps each
+    # alone and raises where it raises alone: the panel cap caps each
     # integral, so the batch raises exactly when one of its integrals does.
-    spec = QuadratureSpec(abs_tol=1e-3, max_subdivisions=cap)
-
     def f(s, k):
         return bumpy(s + 0.25 * k)
 
-    alone = []
-    for k, (a, b, points) in enumerate(batch):
-        try:
-            alone.append(reference_integrate(partial(_one_integral, f, k), a, b, spec, points) if a < b else 0.0)
-        except QuadratureError:
-            alone.append(None)
-    a, b, points = zip(*batch)
-    if None in alone:
-        with pytest.raises(QuadratureError):
-            oracle._integrate_many(f, a, b, spec, points)
-    else:
-        got = oracle._integrate_many(f, a, b, spec, points)
-        assert [v.hex() for v in got] == [v.hex() for v in alone]
+    with mock.patch.object(oracle, "_MAX_PANELS", cap):
+        alone = []
+        for k, (a, b, points) in enumerate(batch):
+            try:
+                alone.append(reference_integrate(partial(_one_integral, f, k), a, b, 1e-3, points) if a < b else 0.0)
+            except QuadratureError:
+                alone.append(None)
+        a, b, points = zip(*batch)
+        if None in alone:
+            with pytest.raises(QuadratureError):
+                oracle._integrate_many(f, a, b, 1e-3, points)
+        else:
+            got = oracle._integrate_many(f, a, b, 1e-3, points)
+            assert [v.hex() for v in got] == [v.hex() for v in alone]
 
 
-def test_batch_over_the_cap_in_all_starts_over_in_halves():
+def test_batch_over_the_cap_in_all_starts_over_in_halves(monkeypatch):
     # Five integrals that each converge within the cap, but not all five
     # together: the batch starts over in smaller groups, each within the
     # cap, to the bits of one at a time, and never raises.
-    spec = QuadratureSpec(abs_tol=1e-3, max_subdivisions=100)
+    monkeypatch.setattr(oracle, "_MAX_PANELS", 100)
     calls = []
 
     def f(s, k):
@@ -391,11 +389,11 @@ def test_batch_over_the_cap_in_all_starts_over_in_halves():
     alone, panels = [], []
     for k in range(5):
         calls.clear()
-        alone.append(reference_integrate(partial(_one_integral, f, k), 0.0, 3.0, spec))
+        alone.append(reference_integrate(partial(_one_integral, f, k), 0.0, 3.0, 1e-3))
         panels.append(sum(calls) // 64)
-    assert max(panels) <= spec.max_subdivisions < sum(panels)
+    assert max(panels) <= oracle._MAX_PANELS < sum(panels)
     calls.clear()
-    got = oracle._integrate_many(f, [0.0] * 5, [3.0] * 5, spec, [()] * 5)
+    got = oracle._integrate_many(f, [0.0] * 5, [3.0] * 5, 1e-3, [()] * 5)
     assert [v.hex() for v in got] == [v.hex() for v in alone]
     # The groups that outgrew the cap were evaluated in part and dropped.
     assert sum(calls) // 64 > sum(panels)
@@ -855,7 +853,7 @@ def _former_scalar_rows(cfg):
         if x * x + y * y < 0.98
     ))
     for x, y in ((0.3, 0.4), (0.1, 0.7), (0.5, 0.2), (0.45, 0.55), (0.05, 0.05)):
-        tail = quad_survival_circular(x, y, cfg.quadrature)
+        tail = quad_survival_circular(x, y, cfg.abs_tol)
         row("alpha_vs_integral", alpha(x, y), tail - (1.0 - x - y) / 4.0)
 
     models = [
@@ -914,30 +912,30 @@ def _former_scalar_rows(cfg):
                 for x in axis for y in axis for val in [m.pdf(x, y)]
             )))
 
-    spec = cfg.quadrature
+    abs_tol = cfg.abs_tol
     rng = oracle._rng(cfg, 9)
     points = [rng.uniform(0.0, 0.9, 2) for _ in range(10)]
     row("quad_survival_circular_vs_closed", gap(
-        (circular_survival(x, y), quad_survival_circular(x, y, spec))
+        (circular_survival(x, y), quad_survival_circular(x, y, abs_tol))
         for x, y in points
         if x * x + y * y < 0.995
     ))
     row("quad_survival_circular_on_axis", gap(
-        (quad_survival_circular(x, 0.0, spec), (1.0 - x) / 4.0)
+        (quad_survival_circular(x, 0.0, abs_tol), (1.0 - x) / 4.0)
         for x in np.linspace(0.0, 0.9, 10).tolist()
     ))
     rng = oracle._rng(cfg, 11)
     points = [rng.uniform(0.05, 0.55, 3) for _ in range(5)]
     row("quad_survival_spherical_vs_closed", gap(
-        (spherical_survival(*p), _former_tail(*q, spec)) for p in points for q in permutations(p)
+        (spherical_survival(*p), _former_tail(*q, abs_tol)) for p in points for q in permutations(p)
     ))
     for i, m in enumerate(m for m in models if m.dim == 2):
         rects = oracle._random_rectangles(oracle._rng(cfg, 4000 + i), 25, 2)
-        row("rect_mass_vs_cdf_volume", gap((cdf_volume(m, r), quad_mass_2d(m, r, spec)) for r in rects))
+        row("rect_mass_vs_cdf_volume", gap((cdf_volume(m, r), quad_mass_2d(m, r, abs_tol)) for r in rects))
     return rows
 
 
-def _former_tail(x, y, z, spec):
+def _former_tail(x, y, z, abs_tol):
     # The x-first tail integral over 4*pi, one integral per call.
     def integrand(s):
         root = np.sqrt(1.0 - s * s)
@@ -948,7 +946,7 @@ def _former_tail(x, y, z, spec):
         )
 
     hi = math.sqrt(1.0 - y * y - z * z) - 1e-14
-    return integrate_adaptive(integrand, x, hi, spec) / (4.0 * math.pi)
+    return integrate_adaptive(integrand, x, hi, abs_tol) / (4.0 * math.pi)
 
 
 def test_moved_rows_match_former_scalar_forms():

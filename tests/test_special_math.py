@@ -234,6 +234,15 @@ def test_cap_area_tangent_caps():
         assert abs(cap_intersection_area(r1, r2, r1 + r2)) <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "r1, r2, d", [(1e-300, 1e-300, 1e-300), (1e-170, 1e-170, 2e-170), (1e-200, 1e-200, 1.5e-200)]
+)
+def test_cap_area_of_tiny_caps_is_zero(r1, r2, d):
+    # Single lenses whose sine products underflow to 0.0; the lens, at
+    # most pi * max(r)^2, rounds to 0.0.
+    assert cap_intersection_area(r1, r2, d) == 0.0
+
+
 def test_cap_area_matches_circular_tail():
     area = cap_intersection_area(math.acos(0.3), math.acos(0.4), math.pi / 2)
     assert abs(area - CAP_AREA_03_04) <= 1e-9

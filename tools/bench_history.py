@@ -5,11 +5,21 @@ Every perfbench run ends with two lines: ``meta {...}``, the run's metadata,
 and ``{...}``, its result.  Collect those two lines of each run in one file
 per side, runs of the two sides alternated in time, for example:
 
+    (cd ../parent && python3 -m compileall -q src perfbench)
+    python3 -m compileall -q src perfbench
     for seed in 1 2 3 4 5; do
         (cd ../parent && python3 perfbench/run.py --workload verify --seed $seed --seconds 15) | tail -n 2 >> parent.txt
         python3 perfbench/run.py --workload verify --seed $seed --seconds 15 | tail -n 2 >> change.txt
     done
     python3 tools/bench_history.py --parent parent.txt --change change.txt --out BENCH_$N.json
+
+Compile the bytecode of each checkout before timing, as the first two lines
+do.  Under ``PYTHONDONTWRITEBYTECODE=1`` a checkout whose ``__pycache__`` is
+stale recompiles every edited module in each fresh interpreter, and that
+cost lands in perfbench's ``setup_s`` and ``peak_rss_mb`` though no program
+change caused it: on 2 shared CPUs, an edited but uncompiled tree read
+grid-eval ``setup_s`` 0.253 s against 0.210 s, and 39.6 against 38.2 MB,
+over 6 alternated pairs; compiled, the same code read 0.188 against 0.195 s.
 
 The file holds, for each workload and side, the median of every metric over
 the side's runs and each run's values in the order given, next to git HEAD
