@@ -87,8 +87,10 @@ __all__ = [
 RNG_ALGORITHM = "PCG64"
 
 
-def _clamp01(t, minimum=min, maximum=max):
-    return minimum(1.0, maximum(0.0, t))
+def _clamp01(t):
+    # min(1.0, max(0.0, t)) in one expression, choosing as the builtins do:
+    # -0.0 and NaN give 0.0.
+    return (t if t < 1.0 else 1.0) if t > 0.0 else 0.0
 
 
 def _planar_cdf(u, v, correction, clamp=_clamp01):
@@ -775,6 +777,10 @@ def _min_exact(a, b):
     return np.where(b < a, b, a)
 
 
+def _clamp01_array(t):
+    return _min_exact(1.0, _max_exact(0.0, t))
+
+
 def _sign_exact(t):
     return np.sign(t).astype(np.int64)
 
@@ -798,7 +804,6 @@ def _asin_exact(t):
     return np.fromiter(map(math.asin, t.tolist()), float, t.size)
 
 
-_clamp01_array = partial(_clamp01, minimum=_min_exact, maximum=_max_exact)
 _alpha_array = partial(_alpha, sqrt=np.sqrt, maximum=_max_exact, atan2=_atan2_exact)
 _alpha_gamma_array = partial(_alpha_gamma, sqrt=np.sqrt, maximum=_max_exact, atan2=_atan2_exact)
 _h_identity_array = partial(_h_identity, sqrt=np.sqrt, asin=_asin_exact)

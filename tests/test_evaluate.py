@@ -1,6 +1,7 @@
 """The array entry point ``evaluate`` and the array corner sum against the
 scalar closed forms, bit for bit."""
 
+import inspect
 import math
 from functools import partial
 from itertools import product
@@ -25,11 +26,12 @@ from ballcopulas import (
     h_identity,
     spherical_cdf,
 )
-from ballcopulas.copulas import _corner_sum, _max_exact, _min_exact, _sign_exact
+from ballcopulas import copulas, special_math
+from ballcopulas.copulas import _clamp01, _clamp01_array, _corner_sum, _max_exact, _min_exact, _sign_exact
 from ballcopulas.copulas import _SLAB, _alpha_array, _alpha_gamma_array, _asin_exact, _atan2_exact
 from ballcopulas.copulas import _h_identity_array
 from ballcopulas.oracle import _first_min
-from ballcopulas.special_math import _clamped_asin, _middle, sigma
+from ballcopulas.special_math import _clamp_unit, _clamped_asin, _max, _middle, _min, sigma
 
 HALF_PI = 0.5 * math.pi
 GAMMAS = [0.0, math.pi / 8, -math.pi / 4, 1.5707963, -1.5707963, HALF_PI - 1e-12, -(HALF_PI - 1e-12)]
@@ -183,17 +185,55 @@ def test_evaluate_validation():
 
 
 def test_elementwise_primitives_match_python():
-    # The array primitives must break ties between 0.0 and -0.0 as max, min
-    # and the integer sigma do.
+    # The scalar primitives must return the very object that max and min
+    # return, and the clamps and the array primitives the builtins' bits:
+    # ties between 0.0 and -0.0, and NaN, go as they go in max, min and the
+    # integer sigma.
+    ties = [
+        0.0, -0.0, 0.5, -0.5, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+        math.nextafter(1.0, 0.0),
+    ]
+
+    def same(got, want):
+        return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    for a, b in product(ties, ties):
+        assert _max(a, b) is max(a, b) and _min(a, b) is min(a, b)
+        assert same(_max_exact(a, np.array([b]))[0], max(a, b))
+        assert same(_min_exact(a, np.array([b]))[0], min(a, b))
+    for t in ties:
+        want = min(1.0, max(0.0, t))
+        assert same(_clamp01(t), want) and same(_clamp01_array(np.array([t]))[0], want)
+        if abs(t) > 1.0 + 1e-12:
+            with pytest.raises(DomainError):
+                _clamp_unit(t, "clamp")
+        else:
+            assert same(_clamp_unit(t, "clamp"), min(1.0, max(-1.0, t)))
     values = [0.0, -0.0, 0.5, -0.5, 1.0]
-    for a, b in product(values, values):
-        assert np.float64(_max_exact(a, np.array([b]))[0]).tobytes() == np.float64(max(a, b)).tobytes()
-        assert np.float64(_min_exact(a, np.array([b]))[0]).tobytes() == np.float64(min(a, b)).tobytes()
     for x, y, z in product(values, repeat=3):
         for t in (0.25, -0.25, 0.0, -0.0):
             got = _sign_exact(np.array([x])) * _sign_exact(np.array([y])) * _sign_exact(np.array([z])) * t
             want = sigma(x) * sigma(y) * sigma(z) * t
             assert got.tobytes() == np.array([want]).tobytes()
+
+
+def test_no_default_argument_is_builtin_max_or_min():
+    # The scalar kernels take _max and _min by default, which choose as the
+    # builtins do and cost less on Python 3.11.
+    checked = 0
+    for module in (special_math, copulas):
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                functions = [f for f in vars(obj).values() if inspect.isfunction(f)]
+            elif inspect.isfunction(obj) or isinstance(obj, partial):
+                functions = [obj]
+            else:
+                continue
+            for f in functions:
+                defaults = [p.default for p in inspect.signature(f).parameters.values()]
+                assert not any(d is max or d is min for d in defaults), f
+                checked += 1
+    assert checked > 50
 
 
 def test_middle_is_stable_like_sorted():
@@ -430,3 +470,14 @@ def test_alpha_gamma_at_zero_is_alpha_bitwise(zero, points):
     assert _bits([alpha_gamma(zero, *p) for p in points]) == want
     assert _bits(_alpha_gamma_array(zero, u, v)) == want
     assert _bits(_alpha_array(u, v)) == want
+
+
+@pytest.mark.parametrize("model", [m for m in MODELS if m.dim == 2], ids=lambda m: m.describe())
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(data=st.data())
+def test_evaluate_pdf_is_the_scalar_pdf_bitwise(model, data):
+    # The density on the array path, where np.where stands for the scalar
+    # branches on the support's boundary and the square's corners.
+    points = data.draw(_points(2, getattr(model, "gamma", 0.0)))
+    want = _bits([model.pdf(*p) for p in points])
+    assert _bits(evaluate(model, "pdf", *np.array(points).T)) == want
