@@ -28,6 +28,7 @@ NonlinearDiskCopula
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -695,11 +696,12 @@ def evaluate(model: CopulaModel, quantity: str, *coords) -> np.ndarray:
     scalar closed forms' own expressions on arrays (numpy's ``+ - * /`` and
     ``sqrt`` round exactly as Python floats do), ``max`` and ``min`` keep
     Python's choice between 0.0 and -0.0, ``np.where`` picks the
-    ``delta3`` term that a tuple index picks, and each ``atan2`` goes
-    through ``math.atan2``, since ``np.arctan2`` can differ from it in the
-    last bit.  Except in the nonlinear CDF, whose ``w`` is zero only on the
-    square's edges, ``math.atan2`` runs only where its second argument ``w``
-    is positive, inside the support: elsewhere ``w`` is +0.0 and
+    ``delta3`` term that a tuple index picks, and each ``atan2`` is libm's,
+    as ``math.atan2`` is, through a map of ``cmath.phase`` over ``w + a*1j``,
+    since ``np.arctan2`` can differ from it in the last bit.  Except in the
+    nonlinear CDF, whose ``w`` is zero only on the square's edges, the map
+    runs only where its second argument ``w`` is positive, inside the
+    support: elsewhere ``w`` is +0.0 and
     ``atan2(a, +0.0)`` is exactly ``copysign(pi/2, a)``, or ``a`` when it is
     zero.  The spherical CDF evaluates each of its three pair ``alpha``
     values once per distinct pair of the broadcast input: on the broadcast
@@ -754,13 +756,22 @@ def _slabs(kernel, cols) -> np.ndarray:
 
 
 def _atan2_map(a, w):
-    return np.fromiter(map(math.atan2, a.tolist(), w.tolist()), float, a.size)
+    # math.atan2(a, w) element by element, as cmath.phase(w + a*1j): phase
+    # is libm's atan2 of the imaginary and real parts, and one map over one
+    # list of complex numbers costs less than a map over two lists of
+    # floats.  It raises where libm sets errno, which glibc does only when a
+    # nonzero a gives exactly 0.0.  Every caller's w is at most 1, where
+    # |atan2(a, w)| rounds to at least |a|, so that never happens here.
+    z = np.empty(a.size, complex)
+    z.real = w
+    z.imag = a
+    return np.fromiter(map(cmath.phase, z.tolist()), float, a.size)
 
 
 def _atan2_exact(a, w):
     # w is a square root, never -0.0.  On and outside the support it is
     # +0.0, where atan2(a, +0.0) is copysign(pi/2, a) for a finite, or a
-    # itself when a is +-0; math.atan2 runs only where w is positive.
+    # itself when a is +-0; the atan2 map runs only where w is positive.
     out = np.where(a == 0.0, a, np.copysign(_HALF_PI, a))
     inside = np.flatnonzero(w)
     out[inside] = _atan2_map(a[inside], w[inside])

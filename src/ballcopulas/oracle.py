@@ -101,7 +101,14 @@ _MAX_POINTS = 1 << 13
 
 @lru_cache(maxsize=1)
 def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(_GL_ORDER)
+    # Gauss-Legendre after the substitution s = lo + (hi - lo)*phi(t), with
+    # phi(t) = 3t^2 - 2t^3 and t = (x + 1)/2: nodes 2*phi(t) - 1 and weights
+    # w*phi'(t) = w*6t(1 - t).  Near either end of a panel, s - lo (or
+    # hi - s) goes as t^2, so a square-root kink or a 1/sqrt end there
+    # becomes a smooth integrand in t.
+    x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
+    t = 0.5 * (x + 1.0)
+    return 2.0 * (t * t * (3.0 - 2.0 * t)) - 1.0, w * (6.0 * t * (1.0 - t))
 
 
 def _panels(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -138,7 +145,10 @@ def integrate_adaptive(f, a: float, b: float, abs_tol: float = 1e-9, points: Ite
     consecutive distinct values of ``a``, the points inside ``(a, b)`` and
     ``b``, in any order.  A non-finite point raises :class:`DomainError`,
     as a non-finite limit or an ``abs_tol`` that is not finite and positive
-    does.  Panels of order-64 Gauss-Legendre are bisected until each
+    does.  Each panel ``[lo, hi]`` takes order-64 Gauss-Legendre in ``t``
+    after the substitution ``s = lo + (hi - lo)*(3t^2 - 2t^3)``, which makes
+    a square-root kink or an integrable ``1/sqrt`` end at either edge of the
+    panel smooth.  Panels are bisected until each
     halving changes the panel value by at most ``abs_tol`` times the
     panel's share of ``[a, b]``; past 2^20 panel evaluations it raises
     :class:`QuadratureError`.  The panels are

@@ -28,7 +28,7 @@ from ballcopulas import (
 )
 from ballcopulas import copulas, special_math
 from ballcopulas.copulas import _clamp01, _clamp01_array, _corner_sum, _max_exact, _min_exact, _sign_exact
-from ballcopulas.copulas import _SLAB, _alpha_array, _alpha_gamma_array, _asin_exact, _atan2_exact
+from ballcopulas.copulas import _SLAB, _alpha_array, _alpha_gamma_array, _asin_exact, _atan2_exact, _atan2_map
 from ballcopulas.copulas import _h_identity_array
 from ballcopulas.oracle import _first_min
 from ballcopulas.special_math import _clamp_unit, _clamped_asin, _max, _middle, _min, sigma
@@ -291,6 +291,22 @@ def test_atan2_exact_matches_math_atan2_on_and_off_the_support():
         got = _atan2_exact(a, ws)
         want = np.array([math.atan2(s, t) for s, t in zip(a.tolist(), ws.tolist())])
         assert got.tobytes() == want.tobytes()
+    # The map itself, cmath.phase of w + a*1j, on numerators from zero and
+    # the smallest subnormal up to 2 against every kind of w up to 1.
+    one_less = math.nextafter(1.0, 0.0)
+    numerators = [s * t for t in (0.0, 5e-324, 1e-310, 1e-300, 0.5, 1.0, one_less, 2.0) for s in (1.0, -1.0)]
+    pairs = list(product(numerators, [5e-324, 1e-310, 1e-10, 0.5, one_less, 1.0]))
+    a, w = map(np.array, zip(*pairs))
+    got = _atan2_map(a, w)
+    assert [v.hex() for v in got.tolist()] == [math.atan2(s, t).hex() for s, t in pairs]
+    # alpha's three numerators y, x and x*y at seeded points of the disk.
+    r = np.sqrt(rng.random(10**5))
+    theta = rng.uniform(0.0, 2.0 * math.pi, 10**5)
+    x, y = r * np.cos(theta), r * np.sin(theta)
+    w = np.sqrt(np.maximum(0.0, 1.0 - (x * x + y * y)))
+    for a in (y, x, x * y):
+        want = [math.atan2(s, t).hex() for s, t in zip(a.tolist(), w.tolist())]
+        assert [v.hex() for v in _atan2_map(a, w).tolist()] == want
 
 
 def test_h_identity_array_matches_scalar():
