@@ -681,9 +681,9 @@ def _corner_sum(cdf, lower, upper):
 # array evaluation
 # ---------------------------------------------------------------------------
 
-# Points per slab in evaluate(): bounds the Python-float temporaries of the
-# exact atan2 map.
-_SLAB = 4096
+# Elements per kernel call of every array pass (_slabs): it bounds a call's
+# temporaries, the Python floats of the exact atan2 map among them.
+_SLAB = 8192
 
 
 def evaluate(model: CopulaModel, quantity: str, *coords) -> np.ndarray:
@@ -701,58 +701,63 @@ def evaluate(model: CopulaModel, quantity: str, *coords) -> np.ndarray:
     since ``np.arctan2`` can differ from it in the last bit.  Except in the
     nonlinear CDF, whose ``w`` is zero only on the square's edges, the map
     runs only where its second argument ``w`` is positive, inside the
-    support: elsewhere ``w`` is +0.0 and
-    ``atan2(a, +0.0)`` is exactly ``copysign(pi/2, a)``, or ``a`` when it is
-    zero.  The spherical CDF evaluates each of its three pair ``alpha``
-    values once per distinct pair of the broadcast input: on the broadcast
-    of that pair's two coordinates alone.  So a grid given as a sparse mesh,
-    ``evaluate(m, "cdf", *np.meshgrid(x, y, z, indexing="ij",
-    sparse=True))``, takes each pair once per distinct pair of its axis
-    values.  Survival is the CDF kernel at the reflected point, as in the
-    scalar methods.  A point outside the cube, or coordinates that do not
-    broadcast, raise :class:`DomainError`, and the spherical density raises
-    :class:`NotAbsolutelyContinuousError` as the scalar method does, on an
-    empty input too: the kernel always runs on at least one slab.
+    support: elsewhere ``w`` is +0.0 and ``atan2(a, +0.0)`` is exactly
+    ``copysign(pi/2, a)``, or ``a`` when it is zero.  The kernels run on the
+    slabs of one ``np.nditer`` over the coordinates, which are never copied
+    to the broadcast shape, so memory is bounded by the output.  The
+    spherical CDF takes each pair ``alpha`` on the broadcast of that pair's
+    two coordinates alone, so on a sparse mesh, ``evaluate(m, "cdf",
+    *np.meshgrid(x, y, z, indexing="ij", sparse=True))``, it takes each pair
+    once per distinct pair of its axis values.  Survival is the CDF kernel
+    at the reflected point, as in the scalar methods.  A point outside the
+    cube, or coordinates that do not broadcast, raise :class:`DomainError`,
+    and the spherical density raises :class:`NotAbsolutelyContinuousError`
+    as the scalar method does, on an empty input too: the kernel always runs
+    at least once.
     """
     if quantity not in ("pdf", "cdf", "survival"):
         raise DomainError(f"unknown quantity {quantity!r}")
     if len(coords) != model.dim:
         raise DomainError(f"{model.describe()} takes {model.dim} coordinates, got {len(coords)}")
     arrays = [np.asarray(c, dtype=float) for c in coords]
-    shapes = [a.shape for a in arrays]
     try:
-        shape = np.broadcast_shapes(*shapes)
+        np.broadcast_shapes(*(a.shape for a in arrays))
     except ValueError:
-        shown = ", ".join(map(str, shapes))
+        shown = ", ".join(str(a.shape) for a in arrays)
         raise DomainError(f"evaluate: coordinate shapes {shown} do not broadcast") from None
-    cols = [np.broadcast_to(a, shape).ravel() for a in arrays]
-    outside = ~np.logical_and.reduce([np.abs(c) <= 1.0 for c in cols])
-    if outside.any():
-        i = int(np.argmax(outside))
-        point = tuple(float(c[i]) for c in cols)
-        raise DomainError(f"evaluate: point {point!r} outside [-1, 1]^{model.dim}")
-    if quantity == "pdf":
-        return _slabs(model._pdf_array, cols).reshape(shape)
-    if quantity == "survival":
-        # Every model is unchanged by the joint sign change p -> -p, so
-        # P[X > p] = F(-p).
-        arrays = [-a for a in arrays]
-        cols = [np.broadcast_to(a, shape).ravel() for a in arrays]
-    if isinstance(model, SphericalCopula):
-        for j, k in ((1, 2), (0, 2), (0, 1)):
-            p, q = np.broadcast_arrays(arrays[j], arrays[k])
-            pair = _slabs(_alpha_array, [p.ravel(), q.ravel()]).reshape(p.shape)
-            cols.append(np.broadcast_to(pair, shape).ravel())
-    return _slabs(model._cdf_array, cols).reshape(shape)
-
-
-def _slabs(kernel, cols) -> np.ndarray:
-    # The kernel over equal slabs of the columns, and at least one slab.
-    out = np.empty(cols[0].size)
+    if not all(np.all(np.abs(a) <= 1.0) for a in arrays):
+        # Broadcast only to name the first point outside, if any is.
+        cols = np.broadcast_arrays(*arrays)
+        outside = np.flatnonzero(~np.logical_and.reduce([np.abs(c) <= 1.0 for c in cols]))
+        if outside.size:
+            point = tuple(float(c.flat[outside[0]]) for c in cols)
+            raise DomainError(f"evaluate: point {point!r} outside [-1, 1]^{model.dim}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, max(out.size, 1), _SLAB):
-            out[lo:lo + _SLAB] = kernel(*(c[lo:lo + _SLAB] for c in cols))
-    return out
+        if quantity == "pdf":
+            return _slabs(model._pdf_array, arrays)
+        if quantity == "survival":
+            # Every model is unchanged by the joint sign change p -> -p, so
+            # P[X > p] = F(-p).
+            arrays = [-a for a in arrays]
+        if isinstance(model, SphericalCopula):
+            arrays += [_slabs(_alpha_array, [arrays[j], arrays[k]]) for j, k in ((1, 2), (0, 2), (0, 1))]
+        return _slabs(model._cdf_array, arrays)
+
+
+def _slabs(kernel, arrays, size: int = _SLAB) -> np.ndarray:
+    # kernel(*slabs) over C-order slabs of at most ``size`` elements of the
+    # broadcast of arrays, into a new array of that shape: a slab is a view
+    # where it is contiguous, else a copy in the iterator's buffer.  On an
+    # empty broadcast the kernel runs once on empty slabs, so that an error
+    # it raises on every input still raises.
+    flags = ["external_loop", "buffered", "zerosize_ok"]
+    ops = [["readonly"]] * len(arrays) + [["writeonly", "allocate"]]
+    with np.nditer([*arrays, None], flags, ops, order="C", buffersize=size) as it:
+        if it.finished:
+            kernel(*(np.empty(0, a.dtype) for a in it.operands[:-1]))
+        for *slabs, out in it:
+            out[...] = kernel(*slabs)
+        return it.operands[-1]
 
 
 def _atan2_map(a, w):

@@ -42,6 +42,7 @@ from .copulas import (
     circular_survival,
     evaluate,
     spherical_survival,
+    _SLAB,
     _alpha_array,
     _alpha_gamma_array,
     _check_seed,
@@ -52,6 +53,7 @@ from .copulas import (
     _nonlinear_forward,
     _nonlinear_inverse,
     _pick_exact,
+    _slabs,
 )
 from .errors import (
     DimensionError,
@@ -93,11 +95,6 @@ _GL_ORDER = 64
 # Most panel evaluations of one integral; past it, QuadratureError.
 _MAX_PANELS = 1 << 20
 
-# Most integrand points per call of ``f``: a level of panels wider than
-# this is evaluated in chunks, so that memory stays bounded however many
-# panels a level holds.
-_MAX_POINTS = 1 << 13
-
 
 @lru_cache(maxsize=1)
 def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
@@ -113,23 +110,20 @@ def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
 
 def _panels(f, lo: np.ndarray, hi: np.ndarray, owner: np.ndarray) -> np.ndarray:
     # Gauss-Legendre value of each panel [lo[i], hi[i]] of integral
-    # owner[i].  A panel's nodes are those a call for it alone would use, and
-    # its 64 weighted values are summed by halving: a BLAS dot product rounds
-    # by the kernel that OpenBLAS picks for the CPU.
+    # owner[i], f called on slabs of whole panels.  A panel's nodes are those
+    # a call for it alone would use, and its 64 weighted values are summed by
+    # halving: a BLAS dot product rounds by the kernel OpenBLAS picks.
     nodes, weights = _gl_nodes()
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    sums = np.empty(lo.size)
-    step = _MAX_POINTS // _GL_ORDER
-    for start in range(0, lo.size, step):
-        chunk = slice(start, start + step)
-        points = mid[chunk, None] + half[chunk, None] * nodes
-        values = f(points.ravel(), np.repeat(owner[chunk], _GL_ORDER))
+
+    def rule(mid, half, owner):
+        points = mid[:, None] + half[:, None] * nodes
+        values = f(points.ravel(), np.repeat(owner, _GL_ORDER))
         terms = np.asarray(values, float).reshape(points.shape) * weights
         for k in (32, 16, 8, 4, 2, 1):
             terms[:, :k] += terms[:, k:2 * k]
-        sums[chunk] = terms[:, 0]
-    return half * sums
+        return half * terms[:, 0]
+
+    return _slabs(rule, [0.5 * (lo + hi), 0.5 * (hi - lo), owner], _SLAB // _GL_ORDER)
 
 
 def _check_abs_tol(abs_tol: float) -> None:
@@ -609,9 +603,8 @@ def _spherical_inclusion_exclusion(x: np.ndarray, y: np.ndarray, z: np.ndarray) 
     )
 
 
-# Rectangles per corner mesh of rect_mass_nonnegative, and per planar model
-# of rect_mass_vs_cdf_volume.
-_RECT_BLOCK, _MASS_RECTS = 4096, 25
+# Rectangles per planar model of rect_mass_vs_cdf_volume.
+_MASS_RECTS = 25
 
 
 def _first_min(values: np.ndarray) -> float:
@@ -742,26 +735,27 @@ def _grid_rows(models: list) -> Iterator[tuple]:
     return _gap(cdfs["spherical"][:, :, -1], cdfs["circular"])
 
 
+def _corner_masses(model: CopulaModel, *corners: np.ndarray) -> np.ndarray:
+    # The masses of rectangles from lower and upper corner columns, every
+    # corner in one evaluate: axis k of the mesh holds coordinate k's two
+    # values and the last axis the rectangles, so the spherical pair alphas
+    # are taken once per distinct pair.  The corner sum indexes the corners.
+    dim = model.dim
+    mesh = [
+        np.stack((lo, hi)).reshape(*(2 if j == k else 1 for j in range(dim)), -1)
+        for k, (lo, hi) in enumerate(zip(corners[:dim], corners[dim:]))
+    ]
+    values = evaluate(model, "cdf", *mesh)
+    return _corner_sum(lambda *bits: values[bits], (0,) * dim, (1,) * dim)
+
+
 def _model_rows(cfg: VerifyConfig, models: list) -> Iterator[tuple]:
     """The copula properties of each model's closed forms."""
     margin_gap = yield from _grid_rows(models)
     for i, m in enumerate(models):
-        # Every corner of a block of rectangles in one evaluate: axis k of
-        # the mesh holds the lower and the upper value of coordinate k, and
-        # the last axis the rectangles, so the spherical pair alphas are
-        # taken once per distinct pair.  The corner sum takes the corners by
-        # index.  Blocks bound the mesh's memory at any rectangle count.
         lows, highs = _random_corners(_rng(cfg, 10 + i), cfg.rect_count, m.dim)
-        masses = []
-        for start in range(0, cfg.rect_count, _RECT_BLOCK):
-            block = slice(start, start + _RECT_BLOCK)
-            mesh = [
-                np.stack((lo, hi)).reshape(*(2 if j == k else 1 for j in range(m.dim)), -1)
-                for k, (lo, hi) in enumerate(zip(lows[block].T, highs[block].T))
-            ]
-            values = evaluate(m, "cdf", *mesh)
-            masses.append(_corner_sum(lambda *bits: values[bits], (0,) * m.dim, (1,) * m.dim))
-        least = min(_first_min(np.concatenate(masses)), 0.0)
+        masses = _slabs(partial(_corner_masses, m), [*lows.T, *highs.T])
+        least = min(_first_min(masses), 0.0)
         count = f"{cfg.rect_count} random rectangles"
         yield "rect_mass_nonnegative", m.describe(), count, least, 0.0, 1e-12
 

@@ -3,6 +3,7 @@ scalar closed forms, bit for bit."""
 
 import inspect
 import math
+import tracemalloc
 from functools import partial
 from itertools import product
 
@@ -53,15 +54,19 @@ def case_id(case):
 
 
 def assert_bits(model, quantity, columns):
+    # evaluate on the columns as given, against the scalar calls at every
+    # point of their broadcast.
     columns = [np.asarray(c, dtype=float) for c in columns]
     got = evaluate(model, quantity, *columns)
     fn = getattr(model, quantity)
-    want = np.array([fn(*p) for p in zip(*(c.tolist() for c in columns))])
-    assert got.dtype == np.float64 and got.shape == want.shape
+    flat = [c.ravel() for c in np.broadcast_arrays(*columns)]
+    want = np.array([fn(*p) for p in zip(*(c.tolist() for c in flat))], dtype=float)
+    assert got.dtype == np.float64 and got.shape == np.broadcast_shapes(*(c.shape for c in columns))
     # Compared as bit patterns, so 0.0 and -0.0 differ.
+    got = got.ravel()
     wrong = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
     assert wrong.size == 0, [
-        (tuple(float(c[i]) for c in columns), float(got[i]), float(want[i])) for i in wrong[:5]
+        (tuple(float(c[i]) for c in flat), float(got[i]), float(want[i])) for i in wrong[:5]
     ]
 
 
@@ -110,8 +115,8 @@ def sparse_axes(shift=0):
     """Axes of a sparse grid whose sphere cuts through it, with signed zeros
     and points outside the ball; the long pair has more points than a slab.
     ``shift`` rotates the axes."""
-    long_x = np.concatenate([np.linspace(-1.0, 1.0, 61), [-0.0, 0.0, 0.6, -0.8, 0.5**0.5, -(0.5**0.5)]])
-    long_z = np.concatenate([np.linspace(-1.0, 1.0, 60), [0.0, -0.0, 0.8, -0.6, 0.5, -0.5]])
+    long_x = np.concatenate([np.linspace(-1.0, 1.0, 91), [-0.0, 0.0, 0.6, -0.8, 0.5**0.5, -(0.5**0.5)]])
+    long_z = np.concatenate([np.linspace(-1.0, 1.0, 90), [0.0, -0.0, 0.8, -0.6, 0.5, -0.5]])
     axes = [long_x, np.array([-0.0, 0.6, 1.0]), long_z]
     assert long_x.size * long_z.size > _SLAB
     return axes[shift:] + axes[:shift]
@@ -160,11 +165,48 @@ def test_evaluate_across_slabs_and_shapes():
     assert grid[3, 4] == model.cdf(float(x[3]), float(y[4]))
     assert evaluate(model, "pdf", [], []).shape == (0,)
     assert evaluate(model, "survival", 0.25, -0.5) == model.survival(0.25, -0.5)
+    # The inputs that the iterator hands out strided or through its buffer:
+    # Fortran order, negative strides, a transpose, a 0-d coordinate, and
+    # empty broadcasts.
+    square = rng.uniform(-1.0, 1.0, (90, 110))
+    fortran = np.asfortranarray(square)
+    planar = [
+        (fortran, fortran[::-1]),
+        (square[::-1, ::-3], square[:, ::-3]),
+        (square.T, fortran.T),
+        (np.array(0.25), square),
+        (square[:, 0], np.array(-0.5)),
+        (np.zeros(0), np.array(0.5)),
+        (np.zeros((3, 0)), np.zeros((1, 0))),
+    ]
+    for columns, quantity in product(planar, ("pdf", "cdf", "survival")):
+        assert_bits(model, quantity, columns)
     sphere = SphericalCopula()
+    spatial = [
+        (fortran, np.array(0.5), square[::-1, :1]),
+        (square.T, np.array(-0.25), np.array(0.75)),
+        (np.zeros((3, 0)), square[:3, :1], np.array(0.5)),
+    ]
+    for columns, quantity in product(spatial, ("cdf", "survival")):
+        assert_bits(sphere, quantity, columns)
     assert_sparse_bits(sphere, "cdf", sparse_axes())
     for axes in (sparse_axes(), [[], [0.5], [0.0, 0.1]]):
         with pytest.raises(NotAbsolutelyContinuousError):
             evaluate(sphere, "pdf", *np.meshgrid(*axes, indexing="ij", sparse=True))
+
+
+def test_evaluate_memory_bounded_by_the_output():
+    # No coordinate and no spherical pair column is copied to the broadcast
+    # shape: on a sparse 101^3 mesh the traced peak stays below twice the
+    # output.
+    mesh = np.meshgrid(*[np.linspace(-1.0, 1.0, 101)] * 3, indexing="ij", sparse=True)
+    tracemalloc.start()
+    try:
+        out = evaluate(SphericalCopula(), "cdf", *mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes
 
 
 def test_evaluate_validation():
@@ -172,6 +214,12 @@ def test_evaluate_validation():
         evaluate(CircularCopula(), "cdf", [0.0, 1.5], [0.0, 0.0])
     with pytest.raises(DomainError):
         evaluate(CircularCopula(), "cdf", [math.nan], [0.0])
+    # The first point outside in the broadcast's C order is named; an empty
+    # broadcast has no point, so a value outside in a coordinate raises
+    # nothing there.
+    with pytest.raises(DomainError, match=r"\(0\.0, 2\.0\)"):
+        evaluate(CircularCopula(), "cdf", [[0.0], [3.0]], [0.5, 2.0])
+    assert evaluate(CircularCopula(), "cdf", [2.0], np.zeros(0)).shape == (0,)
     with pytest.raises(DomainError):
         evaluate(CircularCopula(), "cdf", [0.0], [0.0], [0.0])
     with pytest.raises(DomainError):
