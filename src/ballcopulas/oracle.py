@@ -152,7 +152,8 @@ def integrate_adaptive(f, a: float, b: float, abs_tol: float = 1e-9, points: Ite
     depth-first order, right half first, which is by descending lower
     limit.  So the panel tree, the result and any :class:`QuadratureError`
     are those of refining one panel per call.  This is the batch of one of
-    the level loop that the oracles below run over many integrals at once.
+    the refinement loop that the oracles below run over many integrals at
+    once.
     """
     return _integrate_many(lambda s, k: f(s), [a], [b], abs_tol, [points])[0]
 
@@ -161,10 +162,13 @@ def _integrate_many(f, a, b, abs_tol: float, points) -> list[float]:
     # integrate_adaptive over [a[k], b[k]] with kinks points[k] for every k:
     # f(s, k) gets the integral index k of each point s.  Every integral
     # keeps the panel tree, the bits and the raise it has alone, since
-    # _MAX_PANELS caps each integral's panels.  A group of consecutive
-    # integrals is refined in one level loop while its panels fit the cap in
-    # all, so memory stays that of one integral; a group that outgrows the
-    # cap before any of its integrals does starts over in halves.
+    # _MAX_PANELS caps each integral's panels.  The pending panels stay in
+    # integral order, a split panel's halves in its place.  A step refines
+    # every pending panel of the integrals that own the first
+    # _SLAB // _GL_ORDER of them, or of the lowest alone while the
+    # unfinished integrals pass the cap in all.  So no panel is evaluated
+    # twice, and memory stays near one integral's: the lowest may grow to
+    # the cap while the others keep what they reached in the window.
     _check_abs_tol(abs_tol)
     a, b, points = list(a), list(b), [list(p) for p in points]
     if not all(math.isfinite(e) for e in chain(a, b, *points)):
@@ -177,67 +181,62 @@ def _integrate_many(f, a, b, abs_tol: float, points) -> list[float]:
         [start, *sorted({p for p in inside if start < p < stop}), stop] if start < stop else []
         for start, stop, inside in zip(a, b, points)
     ]
-    full = np.array(b, float) - np.array(a, float)
     totals = [0.0] * len(a)
-    groups = [(0, len(a))]
-    while groups:
-        start, stop = groups.pop()
-        if not _refine_group(f, edges, full, abs_tol, start, stop, totals):
-            middle = (start + stop) // 2
-            groups += [(middle, stop), (start, middle)]
-    return totals
-
-
-def _refine_group(f, edges, full, abs_tol: float, start: int, stop: int, totals: list) -> bool:
-    # Refine integrals start .. stop - 1 in one level loop and add each
-    # one's value to totals.  Returns False, with totals untouched, when the
-    # group's panels would pass the cap in all while each integral's stay
-    # within it; raises QuadratureError when one integral's pass it.
-    cap = _MAX_PANELS
-    lo = [e for k in range(start, stop) for e in edges[k][:-1]]
-    hi = [e for k in range(start, stop) for e in edges[k][1:]]
-    owner = [k for k in range(start, stop) for _ in edges[k][1:]]
-    if not owner:
-        return True
-    # 32-bit integral indices: a level at the panel cap holds 2^19 of them.
-    lo, hi, owner = np.array(lo, float), np.array(hi, float), np.array(owner, np.int32)
-    evaluations = np.bincount(owner - start, minlength=stop - start)
-    if stop - start > 1 and evaluations.sum() > cap:
-        return False
+    # 32-bit integral indices: a step at the panel cap holds 2^19 of them.
+    owner = np.array([k for k, e in enumerate(edges) for _ in e[1:]], np.int32)
+    if not owner.size:
+        return totals
+    lo = np.array([e for k in edges for e in k[:-1]], float)
+    hi = np.array([e for k in edges for e in k[1:]], float)
+    full = np.array(b, float) - np.array(a, float)
+    evaluations = np.bincount(owner, minlength=len(a))
     whole = _panels(f, lo, hi, owner)
     accepted_lo, accepted_owner, accepted = [], [], []
+    finished = 0
     while lo.size:
-        evaluations += 2 * np.bincount(owner - start, minlength=stop - start)
-        if evaluations.max() > cap:
+        over = evaluations[owner[0]:].sum() > _MAX_PANELS
+        last = owner[0 if over else min(lo.size, _SLAB // _GL_ORDER) - 1]
+        n = np.searchsorted(owner, last, "right")
+        evaluations[:last + 1] += 2 * np.bincount(owner[:n])
+        if evaluations.max() > _MAX_PANELS:
             raise QuadratureError(
-                f"no convergence to abs_tol={abs_tol!r} within {cap} panel evaluations"
+                f"no convergence to abs_tol={abs_tol!r} within {_MAX_PANELS} panel evaluations"
             )
-        if evaluations.sum() > cap:
-            return False
-        mid = 0.5 * (lo + hi)
-        pair = np.concatenate((owner, owner))
-        halves = _panels(f, np.concatenate((lo, mid)), np.concatenate((mid, hi)), pair)
-        left, right = halves[:lo.size], halves[lo.size:]
-        refined = left + right
-        width = hi - lo
+        mid = 0.5 * (lo[:n] + hi[:n])
+        halves = _panels(
+            f, np.concatenate((lo[:n], mid)), np.concatenate((mid, hi[:n])), np.tile(owner[:n], 2)
+        )
+        refined = halves[:n] + halves[n:]
+        width = hi[:n] - lo[:n]
         # Per-panel budget proportional to width keeps each integral's
         # summed error below abs_tol; the width floor stops infinite
         # refinement at integrable endpoint singularities.
-        done = (np.abs(refined - whole) <= abs_tol * (width / full[owner])) | (
-            width <= 16.0 * np.spacing(np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0))
+        done = (np.abs(refined - whole[:n]) <= abs_tol * (width / full[owner[:n]])) | (
+            width <= 16.0 * np.spacing(np.maximum(np.maximum(np.abs(lo[:n]), np.abs(hi[:n])), 1.0))
         )
-        accepted_lo.append(lo[done])
-        accepted_owner.append(owner[done])
+        accepted_lo.append(lo[:n][done])
+        accepted_owner.append(owner[:n][done])
         accepted.append(refined[done])
+        # A split panel's halves take its place.  No view of the step's
+        # panels outlives the line that replaces them.
         split = ~done
-        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
-        owner = pair[np.concatenate((split, split))]
-        whole = np.concatenate((left[split], right[split]))
-    owner = np.concatenate(accepted_owner)
-    order = np.lexsort((-np.concatenate(accepted_lo), owner))
-    for k, value in zip(owner[order].tolist(), np.concatenate(accepted)[order].tolist()):
-        totals[k] += value
-    return True
+        lo = np.concatenate((np.array((lo[:n], mid)).T[split].ravel(), lo[n:]))
+        hi = np.concatenate((np.array((mid, hi[:n])).T[split].ravel(), hi[n:]))
+        owner = np.concatenate((np.repeat(owner[:n][split], 2), owner[n:]))
+        whole = np.concatenate((halves.reshape(2, n).T[split].ravel(), whole[n:]))
+        first = owner[0] if owner.size else len(a)
+        if first > finished:
+            # The integrals below the first pending one are finished: sum
+            # their panels by descending lower limit, and keep the rest.
+            finished = first
+            done_lo, done_owner, done_value = map(np.concatenate, (accepted_lo, accepted_owner, accepted))
+            order = np.lexsort((-done_lo, done_owner))
+            done_lo, done_owner, done_value = done_lo[order], done_owner[order], done_value[order]
+            cut = np.searchsorted(done_owner, first)
+            for k, value in zip(done_owner[:cut].tolist(), done_value[:cut].tolist()):
+                totals[k] += value
+            accepted_lo, accepted_owner, accepted = [done_lo[cut:]], [done_owner[cut:]], [done_value[cut:]]
+    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -403,10 +403,11 @@ def test_batch_matches_one_at_a_time(batch, cap):
             assert [v.hex() for v in got] == [v.hex() for v in alone]
 
 
-def test_batch_over_the_cap_in_all_starts_over_in_halves(monkeypatch):
+def test_batch_over_the_cap_in_all_evaluates_each_panel_once(monkeypatch):
     # Five integrals that each converge within the cap, but not all five
-    # together: the batch starts over in smaller groups, each within the
-    # cap, to the bits of one at a time, and never raises.
+    # together: past the cap in all, the lowest unfinished integral is
+    # refined alone, to the bits of one at a time, and the batch never
+    # raises.
     monkeypatch.setattr(oracle, "_MAX_PANELS", 100)
     calls = []
 
@@ -423,8 +424,45 @@ def test_batch_over_the_cap_in_all_starts_over_in_halves(monkeypatch):
     calls.clear()
     got = oracle._integrate_many(f, [0.0] * 5, [3.0] * 5, 1e-3, [()] * 5)
     assert [v.hex() for v in got] == [v.hex() for v in alone]
-    # The groups that outgrew the cap were evaluated in part and dropped.
-    assert sum(calls) // 64 > sum(panels)
+    # No panel is evaluated twice: the batch costs what its integrals cost
+    # alone.
+    assert sum(calls) // 64 == sum(panels)
+
+
+def test_batch_wider_than_the_window_matches_reference(against_reference, monkeypatch):
+    # 100 integrals of seven first panels each.  A step refines the
+    # integrals that own the first 128 pending panels, a strict prefix of
+    # the batch.  Under a cap of 800 panel evaluations, which no integral
+    # reaches alone, the unfinished integrals pass the cap in all while
+    # several share that window, and then the lowest is refined alone.
+    # Every integral keeps the bits it has alone either way.
+    kinks = [j * math.pi / 7 for j in range(8)]
+    panels = oracle._panels
+    owners = []
+
+    def counted(f, lo, hi, owner):
+        owners.append(np.unique(owner).size)
+        return panels(f, lo, hi, owner)
+
+    monkeypatch.setattr(oracle, "_panels", counted)
+    alone_steps = []
+    for cap in (oracle._MAX_PANELS, 800):
+        monkeypatch.setattr(oracle, "_MAX_PANELS", cap)
+        owners.clear()
+        oracle._integrate_many(lambda s, k: bumpy(s + 0.25 * k), [0.0] * 100, [3.0] * 100, 1e-3, [kinks] * 100)
+        assert owners[0] == 100 and 1 < max(owners[1:]) < 100, owners
+        alone_steps.append(owners.count(1))
+    # Past the cap in all, many steps refine one integral alone.
+    assert alone_steps[0] + 10 < alone_steps[1], alone_steps
+    assert len(against_reference) == 200
+
+
+def test_batch_of_empty_intervals_never_calls_f():
+    def f(s, k):
+        raise AssertionError("f called")
+
+    assert oracle._integrate_many(f, [1.0, 2.0, 0.0], [1.0, 1.0, -0.0], 1e-9, [[0.5]] * 3) == [0.0] * 3
+    assert oracle._integrate_many(f, [], [], 1e-9, []) == []
 
 
 # --- tail integrals ----------------------------------------------------
