@@ -165,10 +165,13 @@ def _integrate_many(f, a, b, abs_tol: float, points) -> list[float]:
     # _MAX_PANELS caps each integral's panels.  The pending panels stay in
     # integral order, a split panel's halves in its place.  A step refines
     # every pending panel of the integrals that own the first
-    # _SLAB // _GL_ORDER of them, or of the lowest alone while the
-    # unfinished integrals pass the cap in all.  So no panel is evaluated
-    # twice, and memory stays near one integral's: the lowest may grow to
-    # the cap while the others keep what they reached in the window.
+    # _SLAB // _GL_ORDER of them, so the lowest is refined alone once it
+    # holds that many.  No panel is evaluated twice, and the pending panels
+    # stay near one integral's: the lowest may grow to the cap while the
+    # others keep what they reached in the window.  The accepted panels
+    # wait for one sum after the loop, so they grow with the whole batch;
+    # verify_suite's batches converge in one step or raise, which keeps
+    # them to a few per integral.
     _check_abs_tol(abs_tol)
     a, b, points = list(a), list(b), [list(p) for p in points]
     if not all(math.isfinite(e) for e in chain(a, b, *points)):
@@ -192,10 +195,8 @@ def _integrate_many(f, a, b, abs_tol: float, points) -> list[float]:
     evaluations = np.bincount(owner, minlength=len(a))
     whole = _panels(f, lo, hi, owner)
     accepted_lo, accepted_owner, accepted = [], [], []
-    finished = 0
     while lo.size:
-        over = evaluations[owner[0]:].sum() > _MAX_PANELS
-        last = owner[0 if over else min(lo.size, _SLAB // _GL_ORDER) - 1]
+        last = owner[min(lo.size, _SLAB // _GL_ORDER) - 1]
         n = np.searchsorted(owner, last, "right")
         evaluations[:last + 1] += 2 * np.bincount(owner[:n])
         if evaluations.max() > _MAX_PANELS:
@@ -224,18 +225,11 @@ def _integrate_many(f, a, b, abs_tol: float, points) -> list[float]:
         hi = np.concatenate((np.array((mid, hi[:n])).T[split].ravel(), hi[n:]))
         owner = np.concatenate((np.repeat(owner[:n][split], 2), owner[n:]))
         whole = np.concatenate((halves.reshape(2, n).T[split].ravel(), whole[n:]))
-        first = owner[0] if owner.size else len(a)
-        if first > finished:
-            # The integrals below the first pending one are finished: sum
-            # their panels by descending lower limit, and keep the rest.
-            finished = first
-            done_lo, done_owner, done_value = map(np.concatenate, (accepted_lo, accepted_owner, accepted))
-            order = np.lexsort((-done_lo, done_owner))
-            done_lo, done_owner, done_value = done_lo[order], done_owner[order], done_value[order]
-            cut = np.searchsorted(done_owner, first)
-            for k, value in zip(done_owner[:cut].tolist(), done_value[:cut].tolist()):
-                totals[k] += value
-            accepted_lo, accepted_owner, accepted = [done_lo[cut:]], [done_owner[cut:]], [done_value[cut:]]
+    # Each integral sums its panels by descending lower limit.
+    done_lo, done_owner, done_value = map(np.concatenate, (accepted_lo, accepted_owner, accepted))
+    order = np.lexsort((-done_lo, done_owner))
+    for k, value in zip(done_owner[order].tolist(), done_value[order].tolist()):
+        totals[k] += value
     return totals
 
 
@@ -623,7 +617,7 @@ def _random_rectangles(rng: np.random.Generator, count: int, dim: int) -> list[R
     return [Rectangle(tuple(lows[i]), tuple(highs[i])) for i in range(count)]
 
 
-def _scalar_rows(cfg: VerifyConfig, models: list) -> Iterator[tuple]:
+def _scalar_rows(cfg: VerifyConfig) -> Iterator[tuple]:
     """The special_math invariants, and alpha against its tail integral."""
     square = np.linspace(-0.95, 0.95, 19)
     x, y = _grid(square, square)
@@ -963,7 +957,7 @@ def verify_suite(config: VerifyConfig | None = None) -> VerificationReport:
         NonlinearDiskCopula(),
     ]
     checks = []
-    rows = chain(_scalar_rows(cfg, models), _model_rows(cfg, models), _sampled_rows(cfg, models))
+    rows = chain(_scalar_rows(cfg), _model_rows(cfg, models), _sampled_rows(cfg, models))
     for name, model, input_, closed, oracle_val, tol, *passed in rows:
         tol = tol * cfg.tol_scale
         diff = abs(closed - oracle_val)

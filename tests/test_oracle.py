@@ -349,8 +349,8 @@ def test_integrate_with_points_matches_reference(a, points, cap):
 def test_integrate_memory_bounded_without_convergence(monkeypatch):
     # A tolerance no panel meets doubles every level until the panel cap;
     # the integrand still gets bounded chunks of points.  A batch refines
-    # its integrals together only while their panels fit the cap in all, so
-    # a batch of five peaks as one integral does.
+    # its lowest integral alone once it holds a window's worth of pending
+    # panels, so a batch of five peaks as one integral does.
     monkeypatch.setattr(oracle, "_MAX_PANELS", 2**16)
     batch = (lambda s, k: bumpy(s + k), [0.0] * 5, [3.0] * 5, 1e-300, [()] * 5)
     runs = (lambda: integrate_adaptive(bumpy, 0.0, 3.0, 1e-300), lambda: oracle._integrate_many(*batch))
@@ -405,9 +405,8 @@ def test_batch_matches_one_at_a_time(batch, cap):
 
 def test_batch_over_the_cap_in_all_evaluates_each_panel_once(monkeypatch):
     # Five integrals that each converge within the cap, but not all five
-    # together: past the cap in all, the lowest unfinished integral is
-    # refined alone, to the bits of one at a time, and the batch never
-    # raises.
+    # together: the cap counts each integral's panels, so every integral
+    # has the bits of one at a time, and the batch never raises.
     monkeypatch.setattr(oracle, "_MAX_PANELS", 100)
     calls = []
 
@@ -433,9 +432,9 @@ def test_batch_wider_than_the_window_matches_reference(against_reference, monkey
     # 100 integrals of seven first panels each.  A step refines the
     # integrals that own the first 128 pending panels, a strict prefix of
     # the batch.  Under a cap of 800 panel evaluations, which no integral
-    # reaches alone, the unfinished integrals pass the cap in all while
-    # several share that window, and then the lowest is refined alone.
-    # Every integral keeps the bits it has alone either way.
+    # reaches alone, the batch passes the cap in all many times over and
+    # still never raises.  Every integral keeps the bits it has alone
+    # either way.
     kinks = [j * math.pi / 7 for j in range(8)]
     panels = oracle._panels
     owners = []
@@ -445,16 +444,32 @@ def test_batch_wider_than_the_window_matches_reference(against_reference, monkey
         return panels(f, lo, hi, owner)
 
     monkeypatch.setattr(oracle, "_panels", counted)
-    alone_steps = []
     for cap in (oracle._MAX_PANELS, 800):
         monkeypatch.setattr(oracle, "_MAX_PANELS", cap)
         owners.clear()
         oracle._integrate_many(lambda s, k: bumpy(s + 0.25 * k), [0.0] * 100, [3.0] * 100, 1e-3, [kinks] * 100)
         assert owners[0] == 100 and 1 < max(owners[1:]) < 100, owners
-        alone_steps.append(owners.count(1))
-    # Past the cap in all, many steps refine one integral alone.
-    assert alone_steps[0] + 10 < alone_steps[1], alone_steps
     assert len(against_reference) == 200
+
+
+def test_batch_refines_a_long_lowest_integral_alone(against_reference, monkeypatch):
+    # Integral 0 over [0, 30] crosses 66 kinks of bumpy and soon holds
+    # more than the window's 128 pending panels; integrals 1-9 over
+    # [0, 0.3] wait meanwhile.  Those steps refine integral 0 alone, and
+    # every integral keeps the bits it has alone.
+    panels = oracle._panels
+    owners = []
+
+    def counted(f, lo, hi, owner):
+        owners.append(set(np.unique(owner).tolist()))
+        return panels(f, lo, hi, owner)
+
+    monkeypatch.setattr(oracle, "_panels", counted)
+    oracle._integrate_many(lambda s, k: bumpy(s + 0.25 * k), [0.0] * 10, [30.0] + [0.3] * 9, 1e-9, [()] * 10)
+    # An integral that a later step refines was pending at every step before.
+    later = max(i for i, step in enumerate(owners) if max(step) > 0)
+    assert owners[1:later].count({0}) > 10, owners
+    assert len(against_reference) == 10
 
 
 def test_batch_of_empty_intervals_never_calls_f():
