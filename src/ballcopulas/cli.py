@@ -13,7 +13,8 @@ cannot take, and this module checks only ``--grid`` and the output path.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 invalid
 configuration (an argparse error or a ``BallCopulasError``, including an
-output path that cannot be written), 3 unsupported quantity (the density of
+output path that cannot be written, and a grid or a sample whose values do
+not fit in memory), 3 unsupported quantity (the density of
 the spherical model, ``NotAbsolutelyContinuousError``), 4 internal error (any
 other exception; reported on stderr, no traceback).
 """
@@ -21,6 +22,7 @@ other exception; reported on stderr, no traceback).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime as _dt
 import functools
 import json
@@ -66,29 +68,71 @@ def _parse_gamma(text: str) -> float:
         ) from None
 
 
-def _csv(header: str, rows) -> str:
-    # ``rows`` yields tuples of formatted cells.  Floats are formatted with
-    # repr: the shortest round-trip decimal form, locale independent.
-    return "\n".join(chain((header,), map(",".join, rows))) + "\n"
+# Lines per block of a CSV body.  Each block is formatted, joined and
+# written on its own, so the text in memory is bounded whatever the size.
+_BLOCK_LINES = 2**15
 
 
-def _reprs(values: np.ndarray) -> list[str]:
-    # list(map(repr, values.tolist())) with repr taken once per distinct bit
-    # pattern, so that 0.0 and -0.0 stay apart.
-    _, first, inverse = np.unique(values.view(np.int64), return_index=True, return_inverse=True)
-    texts = np.array(list(map(repr, values[first].tolist())), dtype=object)
+def _cells(values: np.ndarray, end: str) -> list[str]:
+    # [repr(v) + end for v in values.tolist()], with each text made once per
+    # distinct bit pattern, so that 0.0 and -0.0 stay apart.  repr is the
+    # shortest round-trip decimal form, locale independent.
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) + end for v in bits.view(float).tolist()], dtype=object)
     return texts[inverse].tolist()
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _blocks(values: np.ndarray, end: str):
+    # The cells of a column, one list per block of lines.
+    for start in range(0, values.size, _BLOCK_LINES):
+        yield _cells(values[start:start + _BLOCK_LINES], end)
+
+
+def _grid_blocks(labels: np.ndarray, inner: int, rows: int):
+    # The cells of one coordinate column of a grid in C order, one list per
+    # block of lines: each of the axis's labels fills inner consecutive
+    # rows, and the axis repeats until rows lines are filled.
+    for start in range(0, rows, _BLOCK_LINES):
+        index = np.arange(start, min(start + _BLOCK_LINES, rows)) // inner % labels.size
+        yield labels[index].tolist()
+
+
+def _csv(header: str, columns):
+    # The CSV text in pieces: the header line, then one piece per block of
+    # lines.  columns holds one iterator of blocks per column of the body,
+    # each cell ending with its separator.  map, unlike zip, holds no block
+    # once its piece is made, so the cells are freed before it is written.
+    return chain([header + "\n"], map(_lines, *columns))
+
+
+def _lines(*block: list[str]) -> str:
+    # A block's lines, joined in one pass over its columns' cells
+    # interleaved.
+    cells = [None] * sum(map(len, block))
+    for k, texts in enumerate(block):
+        cells[k::len(block)] = texts
+    return "".join(cells)
+
+
+def _emit(pieces, out_path: str | None) -> None:
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(out_path, "w", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     except OSError as exc:
         raise CliConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from None
+
+
+@contextlib.contextmanager
+def _in_memory(size: str):
+    # An array too large for memory is a usage error that names the size;
+    # the arrays are made before any output is opened.
+    try:
+        yield
+    except MemoryError as exc:
+        raise CliConfigError(f"{size} do not fit in memory: {exc}") from None
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -100,34 +144,36 @@ def cmd_eval(args: argparse.Namespace) -> int:
     coords = ("x", "y") if model.dim == 2 else ("x", "y", "z")
     # Row-major over the grid: x varies slowest.
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    values = evaluate(model, args.quantity, *mesh).ravel()
+    with _in_memory(f"the {args.grid}^{model.dim} values of the grid"):
+        values = evaluate(model, args.quantity, *mesh).ravel()
 
     if args.format == "csv":
-        # Each axis coordinate and each distinct value is formatted once,
-        # not once per row: a grid repeats many of its values (0 and 1, the
-        # mirror images of a symmetric model, and off the support values
-        # that depend on one coordinate only).
-        labels = [list(map(repr, axis)) for axis in axes]
-        rows = zip(map(",".join, product(*labels)), _reprs(values))
-        _emit(_csv(",".join(coords) + ",value", rows), args.out)
+        # Each axis coordinate is formatted once, and each distinct value
+        # once: a grid repeats many of its values (0 and 1, the mirror
+        # images of a symmetric model, and off the support values that
+        # depend on one coordinate only).
+        label = np.array([repr(t) + "," for t in axes[0]], dtype=object)
+        columns = [_grid_blocks(label, (n + 1) ** k, values.size) for k in reversed(range(model.dim))]
+        _emit(_csv(",".join(coords) + ",value", [*columns, _blocks(values, "\n")]), args.out)
     else:
         records = [
             {**dict(zip(coords, point)), "value": value}
             for point, value in zip(product(*axes), values.tolist())
         ]
-        _emit(json.dumps(records, indent=2) + "\n", args.out)
+        _emit([json.dumps(records, indent=2) + "\n"], args.out)
     return EXIT_OK
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
     model = model_from_name(args.model, args.gamma)
-    batch = model.sample(args.n, args.seed)
+    with _in_memory(f"{args.n} samples"):
+        batch = model.sample(args.n, args.seed)
     coords = ("x", "y") if model.dim == 2 else ("x", "y", "z")
-    # Row by row from the batch's columns, since a C-order ravel would copy
-    # the column-major batch.  strict=True runs every column's iterator to
-    # its end, which frees that column's floats before the CSV is joined.
-    rows = zip(*(map(repr, column.tolist()) for column in batch.points.T), strict=True)
-    _emit(_csv(",".join(coords), rows), args.out)
+    # Block by block from the batch's contiguous columns, since a C-order
+    # ravel would copy the column-major batch.
+    ends = [","] * (model.dim - 1) + ["\n"]
+    columns = [_blocks(column, end) for column, end in zip(batch.points.T, ends)]
+    _emit(_csv(",".join(coords), columns), args.out)
 
     meta = {
         "model": model.name,
@@ -139,7 +185,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         meta["gamma"] = model.gamma
     if not args.no_timestamp:
         meta["timestamp"] = _dt.datetime.now(_dt.timezone.utc).isoformat()
-    _emit(json.dumps(meta, indent=2) + "\n", args.out + ".meta.json")
+    _emit([json.dumps(meta, indent=2) + "\n"], args.out + ".meta.json")
     return EXIT_OK
 
 
@@ -151,7 +197,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         include_timestamp=not args.no_timestamp,
     )
     report = verify_suite(config)
-    _emit(report.to_json(), args.out)
+    _emit([report.to_json()], args.out)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} {check.name} [{check.model}]", file=sys.stderr)

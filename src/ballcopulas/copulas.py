@@ -462,8 +462,9 @@ class CircularCopula(CopulaModel):
     def _pdf_array(self, x, y):
         return _sheared_pdf_array(0.0, x, y)
 
-    def _cdf_array(self, x, y):
-        return _planar_cdf(x, y, _alpha_array(x, y), _clamp01_array)
+    def _cdf_array(self, x, y, xy):
+        # xy is the pair term alpha(x, y), from evaluate().
+        return _planar_cdf(x, y, xy, _clamp01_array)
 
     def in_support(self, x: float, y: float, tol: float = 1e-12) -> bool:
         return x * x + y * y <= 1.0 + tol
@@ -519,7 +520,8 @@ class SphericalCopula(CopulaModel):
 
     def _cdf_array(self, x, y, z, yz, xz, xy):
         # The scalar form with the outside-the-ball branch as a mask; the
-        # pair alphas come from evaluate(), once per distinct pair.
+        # pair alphas come from evaluate(), each on the broadcast of its own
+        # two coordinates.
         pairs = yz, xz, xy
         val = _spherical_sum(x, y, z, pairs, _pick_exact)
         out = x * x + y * y + z * z >= 1.0
@@ -588,9 +590,8 @@ class NonlinearDiskCopula(CopulaModel):
     def _pdf_array(self, u, v):
         return np.where(_nonlinear_corners(u, v), 0.0, _nonlinear_density(u, v, np.sqrt))
 
-    def _cdf_array(self, u, v):
-        # Each w = sqrt(1 - t*t) is 0 only on an edge: no mask to pay for.
-        overlap = _overlap_atan2(u, v, np.sqrt, _atan2_map)
+    def _cdf_array(self, u, v, overlap):
+        # overlap is the pair term _overlap_atan2(u, v), from evaluate().
         val = _planar_cdf(u, v, overlap / _TWO_PI, _clamp01_array)
         upper = np.where((u > 0.0) & (v > 0.0), 1.0, 0.0)
         return np.where(_nonlinear_corners(u, v), upper, val)
@@ -704,16 +705,29 @@ def evaluate(model: CopulaModel, quantity: str, *coords) -> np.ndarray:
     support: elsewhere ``w`` is +0.0 and ``atan2(a, +0.0)`` is exactly
     ``copysign(pi/2, a)``, or ``a`` when it is zero.  The kernels run on the
     slabs of one ``np.nditer`` over the coordinates, which are never copied
-    to the broadcast shape, so memory is bounded by the output.  The
-    spherical CDF takes each pair ``alpha`` on the broadcast of that pair's
-    two coordinates alone, so on a sparse mesh, ``evaluate(m, "cdf",
-    *np.meshgrid(x, y, z, indexing="ij", sparse=True))``, it takes each pair
-    once per distinct pair of its axis values.  Survival is the CDF kernel
-    at the reflected point, as in the scalar methods.  A point outside the
-    cube, or coordinates that do not broadcast, raise :class:`DomainError`,
-    and the spherical density raises :class:`NotAbsolutelyContinuousError`
-    as the scalar method does, on an empty input too: the kernel always runs
-    at least once.
+    to the broadcast shape, so memory is bounded by the output.  Survival is
+    the CDF kernel at the reflected point, as in the scalar methods.
+
+    The circular and nonlinear CDFs, and each of the spherical CDF's three
+    pairs, add a pair term (``alpha``, or the nonlinear overlap) that is odd
+    in the sign of each coordinate and symmetric under their swap, bit for
+    bit wherever it is not zero.  When the pair's two coordinates form a
+    sparse mesh, each varying along one axis and not the same one, as in
+    ``np.meshgrid(x, y, indexing="ij", sparse=True)``, the term is taken
+    once per distinct pair of their absolute values, on one triangle of the
+    table when both hold the same set, and gathered back with the sign
+    product inside the slab pass; the final clamp makes the sign of a zero
+    term immaterial.  So the spherical CDF on a cube mesh with one axis
+    takes one table for all three pairs, and gathers each pair on the
+    broadcast of its own two coordinates.  Other inputs (flat columns, and
+    corner meshes whose coordinates vary along two axes) and the elliptical
+    model, whose correction has only the point symmetry, take the term at
+    every point.  The output is allocated before any table.
+
+    A point outside the cube, or coordinates that do not broadcast, raise
+    :class:`DomainError`, and the spherical density raises
+    :class:`NotAbsolutelyContinuousError` as the scalar method does, on an
+    empty input too: the kernel always runs at least once.
     """
     if quantity not in ("pdf", "cdf", "survival"):
         raise DomainError(f"unknown quantity {quantity!r}")
@@ -721,7 +735,7 @@ def evaluate(model: CopulaModel, quantity: str, *coords) -> np.ndarray:
         raise DomainError(f"{model.describe()} takes {model.dim} coordinates, got {len(coords)}")
     arrays = [np.asarray(c, dtype=float) for c in coords]
     try:
-        np.broadcast_shapes(*(a.shape for a in arrays))
+        shape = np.broadcast_shapes(*(a.shape for a in arrays))
     except ValueError:
         shown = ", ".join(str(a.shape) for a in arrays)
         raise DomainError(f"evaluate: coordinate shapes {shown} do not broadcast") from None
@@ -739,25 +753,107 @@ def evaluate(model: CopulaModel, quantity: str, *coords) -> np.ndarray:
             # Every model is unchanged by the joint sign change p -> -p, so
             # P[X > p] = F(-p).
             arrays = [-a for a in arrays]
-        if isinstance(model, SphericalCopula):
-            arrays += [_slabs(_alpha_array, [arrays[j], arrays[k]]) for j, k in ((1, 2), (0, 2), (0, 1))]
-        return _slabs(model._cdf_array, arrays)
+        # First, so that an output too large for memory fails before any
+        # orbit table is made.
+        out = np.empty(shape)
+        pair = _PAIR_TERMS.get(type(model))
+        if pair is None:
+            return _slabs(model._cdf_array, arrays, out=out)
+        if model.dim == 2:
+            return _paired(model._cdf_array, pair, *arrays, out)
+        cache = {}
+        arrays += [_paired(_term, pair, arrays[j], arrays[k], cache=cache) for j, k in ((1, 2), (0, 2), (0, 1))]
+        return _slabs(model._cdf_array, arrays, out=out)
 
 
-def _slabs(kernel, arrays, size: int = _SLAB) -> np.ndarray:
+def _slabs(kernel, arrays, size: int = _SLAB, out=None) -> np.ndarray:
     # kernel(*slabs) over C-order slabs of at most ``size`` elements of the
-    # broadcast of arrays, into a new array of that shape: a slab is a view
-    # where it is contiguous, else a copy in the iterator's buffer.  On an
-    # empty broadcast the kernel runs once on empty slabs, so that an error
-    # it raises on every input still raises.
+    # broadcast of arrays, into out, or a new float array of that shape: a
+    # slab is a view where it is contiguous, else a copy in the iterator's
+    # buffer.  On an empty broadcast the kernel runs once on empty slabs, so
+    # that an error it raises on every input still raises.
     flags = ["external_loop", "buffered", "zerosize_ok"]
-    ops = [["readonly"]] * len(arrays) + [["writeonly", "allocate"]]
-    with np.nditer([*arrays, None], flags, ops, order="C", buffersize=size) as it:
+    ops = [["readonly"]] * len(arrays) + [["writeonly"] if out is not None else ["writeonly", "allocate"]]
+    dtypes = [None] * len(arrays) + [float]
+    with np.nditer([*arrays, out], flags, ops, dtypes, order="C", buffersize=size) as it:
         if it.finished:
             kernel(*(np.empty(0, a.dtype) for a in it.operands[:-1]))
-        for *slabs, out in it:
-            out[...] = kernel(*slabs)
+        for *slabs, res in it:
+            res[...] = kernel(*slabs)
         return it.operands[-1]
+
+
+def _term(a, b, term):
+    # The kernel of a spherical pair column: the pair term alone.
+    return term
+
+
+def _mesh_axis(a, ndim):
+    # The one axis of an ndim-axis broadcast along which a varies, or None
+    # if it varies along none or along several.
+    axes = [ndim - a.ndim + k for k, n in enumerate(a.shape) if n > 1]
+    return axes[0] if len(axes) == 1 else None
+
+
+def _paired(kernel, pair, a, b, out=None, cache=None):
+    # kernel(a, b, pair(a, b)) over the slabs of the broadcast of a and b.
+    # On a sparse mesh of a and b the pair term comes from _orbit_gather.
+    # cache holds each coordinate's orbits and each table, by their bytes,
+    # for the pairs of one evaluate() to share.
+    ndim = max(a.ndim, b.ndim)
+    axis_a, axis_b = _mesh_axis(a, ndim), _mesh_axis(b, ndim)
+    if axis_a is None or axis_b is None or axis_a == axis_b:
+        return _slabs(lambda s, t: kernel(s, t, pair(s, t)), [a, b], out=out)
+    cache = {} if cache is None else cache
+    (ma, ia), (mb, ib) = (_cached(cache, c.tobytes(), _orbits, c.ravel()) for c in (a, b))
+    gather = _cached(cache, (ma.tobytes(), mb.tobytes()), _orbit_gather, pair, ma, mb)
+    index = [ia.reshape(a.shape), ib.reshape(b.shape)]
+    return _slabs(lambda s, t, i, j: kernel(s, t, gather(s, t, i, j)), [a, b, *index], out=out)
+
+
+def _cached(cache, key, make, *args):
+    if key not in cache:
+        cache[key] = make(*args)
+    return cache[key]
+
+
+def _orbits(values):
+    # The sorted distinct |values|, and the index of each value among them.
+    return np.unique(np.abs(values), return_inverse=True)
+
+
+def _orbit_gather(pair, ma, mb):
+    # The function of coordinate slabs s, t and their indices i, j in the
+    # sorted distinct magnitudes ma, mb that returns pair(s, t) from the
+    # table pair(ma[i], mb[j]), negated where the signs of s and t differ.
+    # For a term odd in each sign and symmetric under the swap, that is
+    # the term's own value bit for bit wherever it is not zero: IEEE
+    # rounding is symmetric, so negating a coordinate negates every nonzero
+    # intermediate, and + and * commute.  A zero term may come out with the
+    # other sign.  The CDF kernels only scale the term and add it, so that
+    # can change only the sign of a zero, and their final clamp makes every
+    # zero +0.0: no output bit depends on it.  When ma and mb are one set,
+    # the table holds only the triangle i <= j, and the gather reads each
+    # pair in that order.
+    same = np.array_equal(ma, mb)
+
+    def cell(i, j):
+        if not same:
+            return pair(ma[i], mb[j])
+        values = np.zeros(i.size)
+        upper = np.flatnonzero(i <= j)
+        values[upper] = pair(ma[i[upper]], mb[j[upper]])
+        return values
+
+    table = _slabs(cell, [np.arange(ma.size)[:, None], np.arange(mb.size)])
+
+    def gather(s, t, i, j):
+        if same:
+            i, j = np.minimum(i, j), np.maximum(i, j)
+        term = table[i, j]
+        return np.negative(term, out=term, where=np.signbit(s) != np.signbit(t))
+
+    return gather
 
 
 def _atan2_map(a, w):
@@ -823,6 +919,17 @@ def _asin_exact(t):
 _alpha_array = partial(_alpha, sqrt=np.sqrt, maximum=_max_exact, atan2=_atan2_exact)
 _alpha_gamma_array = partial(_alpha_gamma, sqrt=np.sqrt, maximum=_max_exact, atan2=_atan2_exact)
 _h_identity_array = partial(_h_identity, sqrt=np.sqrt, asin=_asin_exact)
+_overlap_array = partial(_overlap_atan2, sqrt=np.sqrt, atan2=_atan2_map)
+
+# The pair term of each model whose CDF kernel takes one after its
+# coordinates: odd in the sign of each coordinate and symmetric under the
+# swap, bit for bit.  Each w = sqrt(1 - t*t) of the nonlinear term is 0 only
+# on an edge: no mask to pay for.
+_PAIR_TERMS = {
+    CircularCopula: _alpha_array,
+    SphericalCopula: _alpha_array,
+    NonlinearDiskCopula: _overlap_array,
+}
 
 
 def _sheared_pdf_array(gamma, u, v):

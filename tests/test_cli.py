@@ -5,13 +5,19 @@ import hashlib
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ballcopulas
 from ballcopulas import VerificationReport, VerifyConfig, cli, model_from_name
-from ballcopulas.cli import _reprs, main
+from ballcopulas.cli import _BLOCK_LINES, _cells, main
 
 
 def run(argv, capsys):
@@ -248,8 +254,11 @@ def test_eval_bytes_equal_per_point_reference(tmp_path, capsys, flags, model, qu
     ids=["signed-zeros", "distinct", "single", "empty"],
 )
 def test_reprs_equals_repr_per_value(values):
-    got = _reprs(np.array(values, dtype=float))
-    assert got == list(map(repr, values))
+    # The CSV cells: repr of each value and the cell's separator, made once
+    # per distinct bit pattern.
+    for end in ("", ",", "\n"):
+        got = _cells(np.array(values, dtype=float), end)
+        assert got == [repr(v) + end for v in values]
 
 
 # sha256 of the eval CSV for the grid-eval benchmark ops and the 41^3
@@ -358,6 +367,63 @@ def test_sample_csv_golden_sha256(tmp_path, capsys, flags, digest):
     )
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["circular", "spherical"])
+def test_sample_csv_across_blocks(tmp_path, capsys, name):
+    # More lines than one block, against a plain join of the rows.
+    n = _BLOCK_LINES + 7
+    out = tmp_path / "s.csv"
+    code, _, _ = run(
+        ["sample", "--model", name, "--n", str(n), "--seed", "5", "--out", str(out), "--no-timestamp"],
+        capsys,
+    )
+    assert code == 0
+    model = model_from_name(name)
+    lines = [",".join(("x", "y", "z")[: model.dim])]
+    lines.extend(",".join(map(repr, row)) for row in model.sample(n, 5).points.tolist())
+    assert out.read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name, n", [("circular", 182), ("spherical", 33)])
+def test_eval_csv_across_blocks(tmp_path, capsys, name, n):
+    model = model_from_name(name)
+    assert n**model.dim > _BLOCK_LINES
+    out = tmp_path / "grid.csv"
+    code, _, _ = run(["eval", "--model", name, "--quantity", "cdf", "--grid", str(n), "--out", str(out)], capsys)
+    assert code == 0
+    assert out.read_text() == reference_eval(model, "cdf", n, "csv")
+
+
+def run_capped(argv):
+    """ballcop in a child process whose address space is capped at 4 GiB, so
+    that an allocation of terabytes fails whatever the host's overcommit
+    policy, and never touches memory."""
+    cap = 4 << 30
+    env = {**os.environ, "PYTHONPATH": str(Path(ballcopulas.__file__).resolve().parent.parent)}
+    return subprocess.run(
+        [sys.executable, "-m", "ballcopulas.cli", *argv], capture_output=True, text=True, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)), timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["eval", "--model", "circular", "--quantity", "cdf", "--grid", "1000000"], "1000000^2"),
+        (["sample", "--model", "circular", "--n", str(10**12), "--seed", "1"], "1000000000000 samples"),
+    ],
+    ids=["eval", "sample"],
+)
+def test_sizes_beyond_memory_are_usage_errors(tmp_path, argv, size):
+    # The values are made before the output is opened: the exit is 2, the
+    # message names the size, and no file is written.
+    out = tmp_path / "big.csv"
+    done = run_capped([*argv, "--out", str(out)])
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and size in done.stderr
+    assert "do not fit in memory" in done.stderr and "internal" not in done.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sample_values_round_trip(tmp_path, capsys):

@@ -30,9 +30,9 @@ from ballcopulas import (
 from ballcopulas import copulas, special_math
 from ballcopulas.copulas import _clamp01, _clamp01_array, _corner_sum, _max_exact, _min_exact, _sign_exact
 from ballcopulas.copulas import _SLAB, _alpha_array, _alpha_gamma_array, _asin_exact, _atan2_exact, _atan2_map
-from ballcopulas.copulas import _h_identity_array
+from ballcopulas.copulas import _PAIR_TERMS, _h_identity_array, _overlap_array, _overlap_atan2
 from ballcopulas.oracle import _first_min
-from ballcopulas.special_math import _clamp_unit, _clamped_asin, _max, _middle, _min, sigma
+from ballcopulas.special_math import _alpha, _clamp_unit, _clamped_asin, _max, _middle, _min, sigma
 
 HALF_PI = 0.5 * math.pi
 GAMMAS = [0.0, math.pi / 8, -math.pi / 4, 1.5707963, -1.5707963, HALF_PI - 1e-12, -(HALF_PI - 1e-12)]
@@ -197,16 +197,77 @@ def test_evaluate_across_slabs_and_shapes():
 
 def test_evaluate_memory_bounded_by_the_output():
     # No coordinate and no spherical pair column is copied to the broadcast
-    # shape: on a sparse 101^3 mesh the traced peak stays below twice the
-    # output.
-    mesh = np.meshgrid(*[np.linspace(-1.0, 1.0, 101)] * 3, indexing="ij", sparse=True)
-    tracemalloc.start()
-    try:
-        out = evaluate(SphericalCopula(), "cdf", *mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * out.nbytes
+    # shape, and the planar pair terms are gathered from their orbit table
+    # slab by slab: on a sparse 101^3 or 1001^2 mesh the traced peak stays
+    # below twice the output.
+    for model, n in ((SphericalCopula(), 101), (CircularCopula(), 1001), (NonlinearDiskCopula(), 1001)):
+        mesh = np.meshgrid(*[np.linspace(-1.0, 1.0, n)] * model.dim, indexing="ij", sparse=True)
+        tracemalloc.start()
+        try:
+            out = evaluate(model, "cdf", *mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.nbytes, model
+
+
+# The CLI's axis, -1 + 2i/n, is not exactly symmetric: 71 of its 101
+# magnitudes are distinct.
+CLI_AXIS = [-1.0 + 2.0 * i / 100 for i in range(101)]
+SIGNED = [-1.0, -0.0, 0.0, 1.0, 0.5, -0.5, 0.5, 0.25, -0.25, 0.6, -0.8]
+UNEQUAL = np.concatenate([np.linspace(-1.0, 1.0, 37), [0.0, -0.0, 0.8, 0.5**0.5, -(0.5**0.5)]])
+ORBIT_AXES = {
+    "cli": [CLI_AXIS, CLI_AXIS],
+    "signed-unequal": [SIGNED, UNEQUAL],
+    "unequal-signed": [UNEQUAL, SIGNED],
+    "mirrored": [UNEQUAL, -UNEQUAL],
+    "one-point": [CLI_AXIS, [0.3]],
+    "zero-point": [[-0.0], SIGNED],
+}
+
+
+@pytest.mark.parametrize("axes", list(ORBIT_AXES.values()), ids=list(ORBIT_AXES))
+@pytest.mark.parametrize("model", [CircularCopula(), NonlinearDiskCopula()], ids=lambda m: m.name)
+@pytest.mark.parametrize("quantity", ["cdf", "survival"])
+def test_orbit_tables_keep_the_scalar_bits(model, quantity, axes):
+    # Sparse meshes take the pair term from its orbit table: signed zeros
+    # together, +-1, repeated values, axes of unequal length, a mirrored
+    # axis, the CLI's axis, and a one-point axis, which stays on the
+    # present path.
+    assert_sparse_bits(model, quantity, axes)
+
+
+@pytest.mark.parametrize("quantity", ["cdf", "survival"])
+def test_spherical_orbit_table_on_a_shared_axis(quantity):
+    for axis in (CLI_AXIS[::5], SIGNED, UNEQUAL):
+        assert_sparse_bits(SphericalCopula(), quantity, [axis] * 3)
+
+
+def test_pair_term_once_per_orbit(monkeypatch):
+    # The pair term runs once per distinct pair of magnitudes: on the CLI's
+    # 101^2 mesh, the triangle of its 71 distinct |x|, and on a cube mesh
+    # of the spherical model, one triangle for all three pairs.  Flat
+    # columns and corner meshes take it at every point.
+    seen = []
+    for model, pair in list(_PAIR_TERMS.items()):
+        monkeypatch.setitem(_PAIR_TERMS, model, lambda a, b, pair=pair: seen.append(a.size) or pair(a, b))
+    distinct = np.unique(np.abs(CLI_AXIS)).size
+    assert distinct == 71
+    axis = np.array(CLI_AXIS)
+    for model in (CircularCopula(), NonlinearDiskCopula(), SphericalCopula()):
+        seen.clear()
+        evaluate(model, "cdf", *np.meshgrid(*[axis] * model.dim, indexing="ij", sparse=True))
+        assert sum(seen) == distinct * (distinct + 1) // 2
+    seen.clear()
+    evaluate(CircularCopula(), "survival", axis[:, None], np.array(UNEQUAL))
+    assert sum(seen) == distinct * np.unique(np.abs(UNEQUAL)).size
+    seen.clear()
+    evaluate(CircularCopula(), "cdf", axis, axis[::-1])
+    assert sum(seen) == axis.size
+    seen.clear()
+    corners = np.stack((axis[:50], axis[50:100]))
+    evaluate(CircularCopula(), "cdf", corners[:, None, :], corners[None, :, :])
+    assert sum(seen) == 4 * 50
 
 
 def test_evaluate_validation():
@@ -524,6 +585,60 @@ def test_survival_is_the_cdf_at_the_reflected_point_bitwise(model, data):
     assert _bits([model.cdf(*(-t for t in p)) for p in points]) == want
     assert _bits(evaluate(model, "survival", *columns)) == want
     assert _bits(evaluate(model, "cdf", *-columns)) == want
+
+
+@st.composite
+def _near_circle(draw):
+    # A point of the unit circle, each coordinate moved by at most one ulp.
+    t = draw(st.floats(0.0, 2.0 * math.pi))
+    point = []
+    for c in (math.cos(t), math.sin(t)):
+        step = draw(st.sampled_from([-2.0, 0.0, 2.0]))
+        point.append(min(1.0, max(-1.0, math.nextafter(c, step) if step else c)))
+    return point
+
+
+@st.composite
+def _pair_points(draw):
+    return draw(st.lists(_near_circle(), max_size=10)) + draw(_points(2))
+
+
+# The pair terms of the circular and nonlinear CDFs (and of each spherical
+# pair), on the scalar and the array path.
+PAIR_TERMS = [
+    pytest.param(_alpha, _alpha_array, id="alpha"),
+    pytest.param(_overlap_atan2, _overlap_array, id="overlap"),
+]
+
+
+@pytest.mark.parametrize("scalar, array", PAIR_TERMS)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(points=_pair_points())
+def test_pair_terms_symmetric_under_the_swap_bitwise(scalar, array, points):
+    x, y = np.array(points).T
+    want = _bits([scalar(*p) for p in points])
+    assert _bits([scalar(b, a) for a, b in points]) == want
+    assert _bits(array(x, y)) == want
+    assert _bits(array(y, x)) == want
+
+
+@pytest.mark.parametrize("scalar, array", PAIR_TERMS)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(points=_pair_points())
+def test_pair_terms_odd_in_each_sign_bitwise(scalar, array, points):
+    # term(e*|x|, d*|y|) is e*d*term(|x|, |y|) bit for bit where it is not
+    # zero, on both paths; a zero may carry either sign.
+    x, y = np.abs(np.array(points)).T
+    base = array(x, y)
+    assert _bits(base) == _bits([scalar(*p) for p in zip(x.tolist(), y.tolist())])
+    for e, d in product((1.0, -1.0), repeat=2):
+        want = e * d * base
+        got = array(e * x, d * y)
+        scalar_got = np.array([scalar(e * a, d * b) for a, b in zip(x.tolist(), y.tolist())])
+        for values in (got, scalar_got):
+            assert (values == want).all()
+            nonzero = want != 0.0
+            assert _bits(values[nonzero]) == _bits(want[nonzero])
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
