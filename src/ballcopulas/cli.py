@@ -89,9 +89,9 @@ def _blocks(values: np.ndarray, end: str):
 
 
 def _grid_blocks(labels: np.ndarray, inner: int, rows: int):
-    # The cells of one coordinate column of a grid in C order, one list per
-    # block of lines: each of the axis's labels fills inner consecutive
-    # rows, and the axis repeats until rows lines are filled.
+    # The cells of a coordinate column of a grid in C order, one list per
+    # block of lines: each label fills inner consecutive rows, and the
+    # labels repeat until rows lines are filled.
     for start in range(0, rows, _BLOCK_LINES):
         index = np.arange(start, min(start + _BLOCK_LINES, rows)) // inner % labels.size
         yield labels[index].tolist()
@@ -148,13 +148,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
         values = evaluate(model, args.quantity, *mesh).ravel()
 
     if args.format == "csv":
-        # Each axis coordinate is formatted once, and each distinct value
-        # once: a grid repeats many of its values (0 and 1, the mirror
-        # images of a symmetric model, and off the support values that
-        # depend on one coordinate only).
-        label = np.array([repr(t) + "," for t in axes[0]], dtype=object)
-        columns = [_grid_blocks(label, (n + 1) ** k, values.size) for k in reversed(range(model.dim))]
-        _emit(_csv(",".join(coords) + ",value", [*columns, _blocks(values, "\n")]), args.out)
+        # A row's cells are the prefix "x," or "x,y," of its leading
+        # coordinates, its last coordinate and its value.  Each axis
+        # coordinate is formatted once, and each distinct value once: a
+        # grid repeats many of its values (0 and 1, the mirror images of a
+        # symmetric model, and off the support values that depend on one
+        # coordinate only).
+        labels = [repr(t) + "," for t in axes[0]]
+        leading = np.array(list(map("".join, product(labels, repeat=model.dim - 1))), dtype=object)
+        columns = [
+            _grid_blocks(leading, n + 1, values.size),
+            _grid_blocks(np.array(labels, dtype=object), 1, values.size),
+            _blocks(values, "\n"),
+        ]
+        _emit(_csv(",".join(coords) + ",value", columns), args.out)
     else:
         records = [
             {**dict(zip(coords, point)), "value": value}
