@@ -725,7 +725,9 @@ def evaluate(model: CopulaModel, quantity: str, *coords) -> np.ndarray:
     every point.  The output is allocated before any table.
 
     A point outside the cube, or coordinates that do not broadcast, raise
-    :class:`DomainError`, and the spherical density raises
+    :class:`DomainError`; a broadcast too large to index raises
+    ``MemoryError``, as an output too large to allocate does; and the
+    spherical density raises
     :class:`NotAbsolutelyContinuousError` as the scalar method does, on an
     empty input too: the kernel always runs at least once.
     """
@@ -738,6 +740,12 @@ def evaluate(model: CopulaModel, quantity: str, *coords) -> np.ndarray:
         shape = np.broadcast_shapes(*(a.shape for a in arrays))
     except ValueError:
         shown = ", ".join(str(a.shape) for a in arrays)
+        # numpy raises the same ValueError for a broadcast too large to
+        # index; its shapes still agree axis by axis.
+        ndim = max(a.ndim for a in arrays)
+        lengths = zip(*((1,) * (ndim - a.ndim) + a.shape for a in arrays))
+        if all(len(set(axis) - {1}) <= 1 for axis in lengths):
+            raise MemoryError(f"evaluate: the broadcast of shapes {shown} is too large to index") from None
         raise DomainError(f"evaluate: coordinate shapes {shown} do not broadcast") from None
     if not all(np.all(np.abs(a) <= 1.0) for a in arrays):
         # Broadcast only to name the first point outside, if any is.

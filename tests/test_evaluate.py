@@ -288,6 +288,14 @@ def test_evaluate_validation():
     # Shapes that do not broadcast are named, not left to numpy's error.
     with pytest.raises(DomainError, match=r"\(0, 4\), \(3, 1\)"):
         evaluate(CircularCopula(), "cdf", np.zeros((0, 4)), np.zeros((3, 1)))
+    # A broadcast whose size numpy cannot index is a size beyond memory, not
+    # a mismatch: the 2100000^3 mesh, from zero-stride views.
+    n = 2_100_000
+    mesh = [np.broadcast_to(0.5, shape) for shape in ((n, 1, 1), (1, n, 1), (1, 1, n))]
+    with pytest.raises(MemoryError, match="too large to index"):
+        evaluate(SphericalCopula(), "cdf", *mesh)
+    with pytest.raises(DomainError, match="do not broadcast"):
+        evaluate(SphericalCopula(), "cdf", *mesh[:2], np.zeros((3, 1, 1)))
     for point in ([0.0], []):
         with pytest.raises(NotAbsolutelyContinuousError):
             evaluate(SphericalCopula(), "pdf", point, point, point)
