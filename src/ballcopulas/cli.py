@@ -68,50 +68,48 @@ def _parse_gamma(text: str) -> float:
         ) from None
 
 
-# Lines per block of a CSV body.  Each block is formatted, joined and
+# Lines per block of a table's body.  Each block is formatted, joined and
 # written on its own, so the text in memory is bounded whatever the size.
 _BLOCK_LINES = 2**15
 
 
-def _cells(values: np.ndarray, end: str) -> list[str]:
-    # [repr(v) + end for v in values.tolist()], with each text made once per
-    # distinct bit pattern, so that 0.0 and -0.0 stay apart.  repr is the
-    # shortest round-trip decimal form, locale independent.
+def _repr_floats(values: list[float]) -> list[str]:
+    # repr is the shortest round-trip decimal form, locale independent.
+    return list(map(repr, values))
+
+
+def _json_floats(values: list[float]) -> list[str]:
+    # json's own spelling of each float, NaN and Infinity included.
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def _cells(values: np.ndarray, spell) -> list[str]:
+    # spell(values.tolist()), with each text made once per distinct bit
+    # pattern, so that 0.0 and -0.0 stay apart.
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array([repr(v) + end for v in bits.view(float).tolist()], dtype=object)
+    texts = np.array(spell(bits.view(float).tolist()), dtype=object)
     return texts[inverse].tolist()
 
 
-def _blocks(values: np.ndarray, end: str):
-    # The cells of a column, one list per block of lines.
-    for start in range(0, values.size, _BLOCK_LINES):
-        yield _cells(values[start:start + _BLOCK_LINES], end)
-
-
-def _grid_blocks(labels: np.ndarray, inner: int, rows: int):
-    # The cells of a coordinate column of a grid in C order, one list per
-    # block of lines: each label fills inner consecutive rows, and the
-    # labels repeat until rows lines are filled.
-    for start in range(0, rows, _BLOCK_LINES):
-        index = np.arange(start, min(start + _BLOCK_LINES, rows)) // inner % labels.size
-        yield labels[index].tolist()
-
-
-def _csv(header: str, columns):
-    # The CSV text in pieces: the header line, then one piece per block of
-    # lines.  columns holds one iterator of blocks per column of the body,
-    # each cell ending with its separator.  map, unlike zip, holds no block
-    # once its piece is made, so the cells are freed before it is written.
-    return chain([header + "\n"], map(_lines, *columns))
-
-
-def _lines(*block: list[str]) -> str:
-    # A block's lines, joined in one pass over its columns' cells
-    # interleaved.
-    cells = [None] * sum(map(len, block))
-    for k, texts in enumerate(block):
-        cells[k::len(block)] = texts
+def _lines(template: list, *columns: list[str]) -> str:
+    # A block's text: one copy of template per line, its None slots filled
+    # from the columns in order, joined in one pass.
+    cells = template * len(columns[0])
+    slots = [k for k, piece in enumerate(template) if piece is None]
+    for k, column in zip(slots, columns):
+        cells[k::len(template)] = column
     return "".join(cells)
+
+
+def _grid_lines(leads: list[str], lasts: list[str], values: np.ndarray, spell, first=None) -> str:
+    # The lines of whole grid rows: a line's cells are its row's lead, its
+    # last coordinate and its value; first, if given, replaces the first
+    # lead.  The cell lists are freed once the text is joined.
+    column = []
+    for lead in leads:
+        column += [lead] * len(lasts)
+    column[0] = first or column[0]
+    return _lines([None] * 3, column, lasts * len(leads), _cells(values, spell))
 
 
 def _emit(pieces, out_path: str | None) -> None:
@@ -147,27 +145,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
     with _in_memory(f"the {args.grid}^{model.dim} values of the grid"):
         values = evaluate(model, args.quantity, *mesh).ravel()
 
+    # A line's cells are its lead (the record's opening and leading
+    # coordinates), its last coordinate and its value; every separator and
+    # piece of record syntax is in the coordinate cells, each formatted once.
+    names = [*coords, "value"]
     if args.format == "csv":
-        # A row's cells are the prefix "x," or "x,y," of its leading
-        # coordinates, its last coordinate and its value.  Each axis
-        # coordinate is formatted once, and each distinct value once: a
-        # grid repeats many of its values (0 and 1, the mirror images of a
-        # symmetric model, and off the support values that depend on one
-        # coordinate only).
-        labels = [repr(t) + "," for t in axes[0]]
-        leading = np.array(list(map("".join, product(labels, repeat=model.dim - 1))), dtype=object)
-        columns = [
-            _grid_blocks(leading, n + 1, values.size),
-            _grid_blocks(np.array(labels, dtype=object), 1, values.size),
-            _blocks(values, "\n"),
-        ]
-        _emit(_csv(",".join(coords) + ",value", columns), args.out)
+        spell, head, sep, key, tail = _repr_floats, ",".join(names) + "\n", "\n", "", "\n"
     else:
-        records = [
-            {**dict(zip(coords, point)), "value": value}
-            for point, value in zip(product(*axes), values.tolist())
-        ]
-        _emit([json.dumps(records, indent=2) + "\n"], args.out)
+        spell, head, sep, key, tail = _json_floats, "[\n  {", "\n  },\n  {", '\n    "{}": ', "\n  }\n]\n"
+    keys = ["," * (k > 0) + key.format(name) for k, name in enumerate(names)]
+    labels = spell(axes[0])
+    bodies = ["".join(chain(*zip(keys, p))) + keys[-2] for p in product(labels, repeat=model.dim - 1)]
+    leads, lasts = [sep + body for body in bodies], [label + keys[-1] for label in labels]
+    # Blocks of whole grid rows, at most max(_BLOCK_LINES, n + 1) lines.
+    rows = max(1, _BLOCK_LINES // (n + 1))
+    blocks = (
+        _grid_lines(leads[start:start + rows], lasts, values[start * (n + 1):(start + rows) * (n + 1)],
+                    spell, head + bodies[0] if start == 0 else None)
+        for start in range(0, len(leads), rows)
+    )
+    _emit(chain(blocks, [tail]), args.out)
     return EXIT_OK
 
 
@@ -176,11 +173,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
     with _in_memory(f"{args.n} samples"):
         batch = model.sample(args.n, args.seed)
     coords = ("x", "y") if model.dim == 2 else ("x", "y", "z")
-    # Block by block from the batch's contiguous columns, since a C-order
-    # ravel would copy the column-major batch.
-    ends = [","] * (model.dim - 1) + ["\n"]
-    columns = [_blocks(column, end) for column, end in zip(batch.points.T, ends)]
-    _emit(_csv(",".join(coords), columns), args.out)
+    # Block by block from the batch's contiguous columns (a C-order ravel
+    # would copy them), each value spelled on its own: samples rarely repeat.
+    template = [None, ","] * (model.dim - 1) + [None, "\n"]
+    blocks = (
+        _lines(template, *(_repr_floats(column[start:start + _BLOCK_LINES].tolist()) for column in batch.points.T))
+        for start in range(0, args.n, _BLOCK_LINES)
+    )
+    _emit(chain([",".join(coords) + "\n"], blocks), args.out)
 
     meta = {
         "model": model.name,

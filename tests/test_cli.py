@@ -250,15 +250,17 @@ def test_eval_bytes_equal_per_point_reference(tmp_path, capsys, flags, model, qu
         [0.1 * k - 1.0 for k in range(21)],
         [0.3],
         [],
+        [math.nan, math.inf, -math.inf, -0.0, 1e300, math.inf],
     ],
-    ids=["signed-zeros", "distinct", "single", "empty"],
+    ids=["signed-zeros", "distinct", "single", "empty", "non-finite"],
 )
 def test_reprs_equals_repr_per_value(values):
-    # The CSV cells: repr of each value and the cell's separator, made once
-    # per distinct bit pattern.
-    for end in ("", ",", "\n"):
-        got = _cells(np.array(values, dtype=float), end)
-        assert got == [repr(v) + end for v in values]
+    # The value cells, made once per distinct bit pattern: repr of each
+    # value for CSV, and json's spelling for JSON.
+    got = _cells(np.array(values, dtype=float), cli._repr_floats)
+    assert got == [repr(v) for v in values]
+    got = _cells(np.array(values, dtype=float), cli._json_floats)
+    assert got == [json.dumps(v) for v in values]
 
 
 # sha256 of the eval CSV for the grid-eval benchmark ops and the 41^3
@@ -385,14 +387,34 @@ def test_sample_csv_across_blocks(tmp_path, capsys, name):
     assert out.read_text() == "\n".join(lines) + "\n"
 
 
+def assert_eval_bytes_both_formats(tmp_path, capsys, name, n):
+    model = model_from_name(name)
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"grid.{fmt}"
+        code, _, _ = run(
+            ["eval", "--model", name, "--quantity", "cdf", "--grid", str(n), "--format", fmt, "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert out.read_text() == reference_eval(model, "cdf", n, fmt)
+
+
 @pytest.mark.parametrize("name, n", [("circular", 182), ("spherical", 33)])
 def test_eval_csv_across_blocks(tmp_path, capsys, name, n):
-    model = model_from_name(name)
-    assert n**model.dim > _BLOCK_LINES
-    out = tmp_path / "grid.csv"
-    code, _, _ = run(["eval", "--model", name, "--quantity", "cdf", "--grid", str(n), "--out", str(out)], capsys)
-    assert code == 0
-    assert out.read_text() == reference_eval(model, "cdf", n, "csv")
+    # More lines than one block, in both formats.
+    assert n**model_from_name(name).dim > _BLOCK_LINES
+    assert_eval_bytes_both_formats(tmp_path, capsys, name, n)
+
+
+@pytest.mark.parametrize("block_lines", [1, 7, 64])
+@pytest.mark.parametrize("name, n", [("circular", 2), ("circular", 5), ("circular", 21),
+                                     ("spherical", 2), ("spherical", 5), ("spherical", 21)])
+def test_eval_bytes_at_any_block_size(tmp_path, capsys, monkeypatch, block_lines, name, n):
+    # A block holds whole grid rows: a block size below one grid row gives
+    # one row per block, and the others end between rows, often with a
+    # short last block.
+    monkeypatch.setattr(cli, "_BLOCK_LINES", block_lines)
+    assert_eval_bytes_both_formats(tmp_path, capsys, name, n)
 
 
 def run_capped(argv):
