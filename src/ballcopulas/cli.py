@@ -91,25 +91,24 @@ def _cells(values: np.ndarray, spell) -> list[str]:
     return texts[inverse].tolist()
 
 
-def _lines(template: list, *columns: list[str]) -> str:
-    # A block's text: one copy of template per line, its None slots filled
-    # from the columns in order, joined in one pass.
-    cells = template * len(columns[0])
-    slots = [k for k, piece in enumerate(template) if piece is None]
-    for k, column in zip(slots, columns):
-        cells[k::len(template)] = column
+def _lines(template: list, width: int, *columns: list[str]) -> str:
+    # A block's text: copies of template, lines of width cells each, the None
+    # slots of every line filled from the columns in order, joined at once.
+    cells = template * (len(columns[0]) * width // len(template))
+    for k, column in zip([k for k in range(width) if template[k] is None], columns):
+        cells[k::width] = column
     return "".join(cells)
 
 
-def _grid_lines(leads: list[str], lasts: list[str], values: np.ndarray, spell, first=None) -> str:
-    # The lines of whole grid rows: a line's cells are its row's lead, its
-    # last coordinate and its value; first, if given, replaces the first
-    # lead.  The cell lists are freed once the text is joined.
+def _grid_lines(leads: list[str], row: list, values: np.ndarray, spell, first=None) -> str:
+    # Whole grid rows, each line a lead, a last coordinate and a value: row
+    # holds one grid row's last coordinates, and first, if given, replaces
+    # the first lead.  The cell lists are freed once the text is joined.
     column = []
     for lead in leads:
-        column += [lead] * len(lasts)
+        column += [lead] * (len(row) // 3)
     column[0] = first or column[0]
-    return _lines([None] * 3, column, lasts * len(leads), _cells(values, spell))
+    return _lines(row, 3, column, _cells(values, spell))
 
 
 def _emit(pieces, out_path: str | None) -> None:
@@ -155,13 +154,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         spell, head, sep, key, tail = _json_floats, "[\n  {", "\n  },\n  {", '\n    "{}": ', "\n  }\n]\n"
     keys = ["," * (k > 0) + key.format(name) for k, name in enumerate(names)]
     labels = spell(axes[0])
-    bodies = ["".join(chain(*zip(keys, p))) + keys[-2] for p in product(labels, repeat=model.dim - 1)]
-    leads, lasts = [sep + body for body in bodies], [label + keys[-1] for label in labels]
+    fields = [[key + label for label in labels] for key in keys[:model.dim - 1]]
+    leads = [sep + body + keys[-2] for body in map("".join, product(*fields))]
+    row = [*chain(*((None, label + keys[-1], None) for label in labels))]
     # Blocks of whole grid rows, at most max(_BLOCK_LINES, n + 1) lines.
     rows = max(1, _BLOCK_LINES // (n + 1))
     blocks = (
-        _grid_lines(leads[start:start + rows], lasts, values[start * (n + 1):(start + rows) * (n + 1)],
-                    spell, head + bodies[0] if start == 0 else None)
+        _grid_lines(leads[start:start + rows], row, values[start * (n + 1):(start + rows) * (n + 1)],
+                    spell, head + leads[0][len(sep):] if start == 0 else None)
         for start in range(0, len(leads), rows)
     )
     _emit(chain(blocks, [tail]), args.out)
@@ -177,8 +177,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     # would copy them), each value spelled on its own: samples rarely repeat.
     template = [None, ","] * (model.dim - 1) + [None, "\n"]
     blocks = (
-        _lines(template, *(_repr_floats(column[start:start + _BLOCK_LINES].tolist()) for column in batch.points.T))
-        for start in range(0, args.n, _BLOCK_LINES)
+        _lines(template, len(template), *(_repr_floats(c[i:i + _BLOCK_LINES].tolist()) for c in batch.points.T))
+        for i in range(0, args.n, _BLOCK_LINES)
     )
     _emit(chain([",".join(coords) + "\n"], blocks), args.out)
 
