@@ -84,8 +84,8 @@ def _json_floats(values: list[float]) -> list[str]:
 
 
 def _cells(values: np.ndarray, spell) -> list[str]:
-    # spell(values.tolist()), with each text made once per distinct bit
-    # pattern, so that 0.0 and -0.0 stay apart.
+    # spell(values.tolist()), made once per distinct bit pattern (0.0 and
+    # -0.0 stay apart): a grid repeats 0, 1 and its mirror images' values.
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     texts = np.array(spell(bits.view(float).tolist()), dtype=object)
     return texts[inverse].tolist()
@@ -149,10 +149,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # piece of record syntax is in the coordinate cells, each formatted once.
     names = [*coords, "value"]
     if args.format == "csv":
-        spell, head, sep, key, tail = _repr_floats, ",".join(names) + "\n", "\n", "", "\n"
+        spell, head, sep, form, tail = _repr_floats, ",".join(names) + "\n", "\n", "", "\n"
     else:
-        spell, head, sep, key, tail = _json_floats, "[\n  {", "\n  },\n  {", '\n    "{}": ', "\n  }\n]\n"
-    keys = ["," * (k > 0) + key.format(name) for k, name in enumerate(names)]
+        spell, head, sep, form, tail = _json_floats, "[\n  {", "\n  },\n  {", '\n    "{}": ', "\n  }\n]\n"
+    keys = ["," * (k > 0) + form.format(name) for k, name in enumerate(names)]
     labels = spell(axes[0])
     fields = [[key + label for label in labels] for key in keys[:model.dim - 1]]
     leads = [sep + body + keys[-2] for body in map("".join, product(*fields))]
