@@ -7,10 +7,13 @@ Three kinds of oracle live here:
   :func:`quad_survival_spherical`),
 * density-mass quadrature over rectangles (:func:`quad_mass_2d`), with the
   inner integral done in closed form (the ``t -> t / sqrt(1 - s^2)``
-  substitution turns the singular inner integrand into an arcsin difference,
-  leaving a bounded outer integrand),
+  substitution turns the singular inner integrand into a difference of two
+  ``atan2`` terms, leaving a bounded outer integrand),
 * Monte-Carlo estimators and distribution tests (:func:`mc_cdf`,
   :func:`ks_uniform`, :func:`moment_check`).
+
+The integrands take each ``arcsin(a/w)`` as ``atan2(a, sqrt(w^2 - a^2))``,
+as the closed forms do: no quotient, and exact at the support's edge.
 
 :func:`verify_suite` runs every invariant of the math and model layers plus
 all oracle comparisons and returns a structured, JSON-serializable
@@ -237,18 +240,19 @@ def _integrate_many(f, a, b, abs_tol: float, points) -> list[float]:
 # integral representations of the tail probabilities
 # ---------------------------------------------------------------------------
 
-#: Inward pull applied to upper limits that sit exactly where an arcsin
-#: argument reaches 1; the integrand is finite there, so the perturbation
-#: changes the value by far less than abs_tol.
-_ENDPOINT_PULL = 1e-14
+def _asin_ratio(a: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    # arcsin(a / sqrt(r2)) for r2 >= 0, clamped to +-pi/2, with no quotient:
+    # exact at the support's edge a*a == r2, and exactly +-pi/2 (or 0.0 at
+    # a == 0) beyond it, where r2 - a*a < 0.
+    return np.arctan2(a, np.sqrt(np.maximum(r2 - a * a, 0.0)))
 
 
 def quad_survival_circular(x: float, y: float, abs_tol: float = 1e-9) -> float:
     """Tail probability of the circular model by 1-D quadrature.
 
     Evaluates ``(1/(2*pi)) * integral_x^{sqrt(1-y^2)} [pi/2 -
-    arcsin(y/sqrt(1-s^2))] ds`` for ``0 <= x, y`` with ``x^2 + y^2 < 1``:
-    twice the spherical tail integral at ``z = 0``, since the ``(X, Y)``
+    atan2(y, sqrt(1-s^2-y^2))] ds`` for ``0 <= x, y`` with ``x^2 + y^2 <
+    1``: twice the spherical tail integral at ``z = 0``, since the ``(X, Y)``
     margin of the uniform sphere is the circular law.  Independent of the
     closed form, so it serves as its oracle.
     """
@@ -271,14 +275,10 @@ def _tail_integrals(points, abs_tol: float) -> list[float]:
     x, y, z = np.array(points, float).reshape(-1, 3).T
 
     def integrand(s: np.ndarray, k: np.ndarray) -> np.ndarray:
-        root = np.sqrt(1.0 - s * s)
-        return (
-            0.5 * np.pi
-            - np.arcsin(np.clip(y[k] / root, -1.0, 1.0))
-            - np.arcsin(np.clip(z[k] / root, -1.0, 1.0))
-        )
+        r2 = 1.0 - s * s
+        return 0.5 * np.pi - _asin_ratio(y[k], r2) - _asin_ratio(z[k], r2)
 
-    hi = np.sqrt(1.0 - y * y - z * z) - _ENDPOINT_PULL
+    hi = np.sqrt(1.0 - y * y - z * z)
     return [v / _FOUR_PI for v in _integrate_many(integrand, x.tolist(), hi.tolist(), abs_tol, [()] * x.size)]
 
 
@@ -286,9 +286,10 @@ def quad_survival_spherical(x: float, y: float, z: float, abs_tol: float = 1e-9)
     """First-octant tail probability of the spherical model by quadrature.
 
     Evaluates ``(1/(4*pi)) * integral_x^{sqrt(1-y^2-z^2)} [pi/2
-    - arcsin(y/sqrt(1-s^2)) - arcsin(z/sqrt(1-s^2))] ds``.  The integral is
-    exchangeable in ``(x, y, z)``; all six argument orders are evaluated, as
-    one batch, and must agree within ``10 * abs_tol``,
+    - atan2(y, sqrt(1-s^2-y^2)) - atan2(z, sqrt(1-s^2-z^2))] ds``, each
+    square root's argument clamped at 0.0.  The integral is exchangeable in
+    ``(x, y, z)``; all six argument orders are evaluated, as one batch, and
+    must agree within ``10 * abs_tol``,
     otherwise :class:`OracleInconsistencyError` is raised.
     """
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 and 0.0 <= z <= 1.0):
@@ -312,12 +313,9 @@ def quad_survival_spherical(x: float, y: float, z: float, abs_tol: float = 1e-9)
 
 def _inner_mass_elliptical(sg: float, cg: float, t_lo: np.ndarray, t_hi: np.ndarray):
     def inner(s: np.ndarray, k: np.ndarray) -> np.ndarray:
-        w = cg * np.sqrt(np.maximum(1.0 - s * s, 0.0))
-        wsafe = np.maximum(w, 1e-300)
+        w2 = cg * cg * (1.0 - s * s)
         center = s * sg
-        hi = np.clip((t_hi[k] - center) / wsafe, -1.0, 1.0)
-        lo = np.clip((t_lo[k] - center) / wsafe, -1.0, 1.0)
-        return (np.arcsin(hi) - np.arcsin(lo)) / _TWO_PI
+        return (_asin_ratio(t_hi[k] - center, w2) - _asin_ratio(t_lo[k] - center, w2)) / _TWO_PI
 
     return inner
 
@@ -362,9 +360,10 @@ def _support_kinks(sg: float, cg: float, t_lo: float, t_hi: float) -> list[float
 def quad_mass_2d(model: CopulaModel, rect: Rectangle, abs_tol: float = 1e-9) -> float:
     """Probability mass of ``rect`` by quadrature of the model density.
 
-    The inner integral is evaluated in closed form (arcsin difference for
-    the disk-type densities, an explicit antiderivative for the nonlinear
-    one), so the adaptive outer integrand is bounded.  It is one integral
+    The inner integral is evaluated in closed form (a difference of two
+    ``atan2`` terms for the disk-type densities, an explicit antiderivative
+    for the nonlinear one), so the adaptive outer integrand is bounded, and
+    exactly 0.0 for a rectangle of zero height.  It is one integral
     over the rectangle's width, whose first panels end where the bottom and
     top edges meet the support boundary, and it converges to ``abs_tol``
     within 2^20 panel evaluations or raises :class:`QuadratureError`.
@@ -374,8 +373,8 @@ def quad_mass_2d(model: CopulaModel, rect: Rectangle, abs_tol: float = 1e-9) -> 
 
 
 def _rect_masses(model: CopulaModel, rects: list[Rectangle], abs_tol: float) -> list[float]:
-    # quad_mass_2d of every rectangle, as one batch; an empty rectangle is
-    # an empty interval, of mass 0.0.
+    # quad_mass_2d of every rectangle, as one batch; a rectangle of zero
+    # width is an empty interval, and one of zero height integrates 0.0.
     if model.dim != 2:
         raise NotAbsolutelyContinuousError(
             "quad_mass_2d requires a two-dimensional model with a density"
@@ -395,8 +394,7 @@ def _rect_masses(model: CopulaModel, rects: list[Rectangle], abs_tol: float) -> 
         kinks = [()] * len(rects)
     else:
         raise NotAbsolutelyContinuousError(f"unsupported model {model.name!r}")
-    stop = np.where(t_hi > t_lo, s_hi, s_lo)
-    return _integrate_many(inner, s_lo.tolist(), stop.tolist(), abs_tol, kinks)
+    return _integrate_many(inner, s_lo.tolist(), s_hi.tolist(), abs_tol, kinks)
 
 
 # ---------------------------------------------------------------------------

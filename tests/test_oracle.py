@@ -225,16 +225,36 @@ def test_tail_integrals_match_reference(against_reference):
     assert len(against_reference) == 22 + 8 * 6
 
 
+# First-octant points whose x is one ulp below the sphere: on the x axis,
+# then two with y and z nonzero.  The tail integral runs over a single ulp,
+# to where an arcsin term of the integrand reaches pi/2.
+SPHERE_EDGE = [
+    (math.nextafter(math.sqrt(1.0 - y * y - z * z), 0.0), y, z)
+    for y, z in ((0.0, 0.0), (0.3, 0.4), (0.5, 0.2))
+]
+
+
+def _assert_sphere_edge_tails(tails):
+    # On the axis the tail is (1 - x)/8, about 1.4e-17.  Off it the tail is
+    # near 1e-32, below the closed form's rounding there, so the two agree
+    # to the closed forms' stated absolute bound.
+    axis, *off_axis = SPHERE_EDGE
+    closed = spherical_survival(*axis)
+    assert abs(tails[0] - closed) <= 1e-13 * closed
+    for p, tail in zip(off_axis, tails[1:]):
+        assert abs(tail - spherical_survival(*p)) <= 4.5e-16
+
+
 def test_tail_batch_matches_reference(against_reference):
-    # One batch of the tail integrals above, with an empty one (the upper
-    # limit pulled below x); each equals the public oracle's value.
+    # One batch of the tail integrals above, with the sphere's edge points;
+    # each circular tail equals the public oracle's value.
     rng = np.random.default_rng(44)
     points = [(x, y, 0.0) for x, y in rng.uniform(0.0, 0.7, (20, 2)).tolist()]
     points += [q for p in rng.uniform(0.0, 0.57, (6, 3)).tolist() for q in permutations(p)]
-    points.append((math.nextafter(1.0, 0.0), 0.0, 0.0))
+    points += SPHERE_EDGE
     tails = oracle._tail_integrals(points, 1e-9)
     assert len(against_reference) == len(points)
-    assert tails[-1] == 0.0
+    _assert_sphere_edge_tails(tails[-len(SPHERE_EDGE):])
     for (x, y, _), tail in zip(points[:20], tails):
         assert (2.0 * tail).hex() == quad_survival_circular(x, y).hex()
 
@@ -272,8 +292,8 @@ def test_rectangle_mass_matches_reference(against_reference, model):
 
 @pytest.mark.parametrize("model", PLANAR_MODELS, ids=lambda m: m.describe())
 def test_rectangle_batch_matches_reference(against_reference, model):
-    # The rectangles above as one batch, with a zero-width and a
-    # zero-height one, which are empty intervals of mass 0.0.
+    # The rectangles above as one batch, with a zero-width one, an empty
+    # interval, and a zero-height one, whose integrand is exactly 0.0.
     rects = _reference_rects() + [Rectangle((0.2, -1.0), (0.2, 1.0)), Rectangle((-0.5, 0.3), (0.5, 0.3))]
     masses = oracle._rect_masses(model, rects, 1e-9)
     assert len(against_reference) == len(rects)
@@ -511,9 +531,7 @@ def test_quad_survival_circular_domain():
 
 def test_quad_survival_spherical_octant():
     assert abs(quad_survival_spherical(0.0, 0.0, 0.0) - 0.125) <= 1e-9
-    # Within the endpoint pull of the sphere the x-first integral is empty.
-    x = math.nextafter(1.0, 0.0)
-    assert quad_survival_spherical(x, 0.0, 0.0) == 0.0
+    _assert_sphere_edge_tails([quad_survival_spherical(*p) for p in SPHERE_EDGE])
 
 
 def test_quad_survival_spherical_frozen_and_permutations():
@@ -560,6 +578,18 @@ def test_quad_mass_small_rect_circular():
     rect = Rectangle((0.0, 0.0), (0.3, 0.4))
     assert abs(quad_mass_2d(CircularCopula(), rect) - cdf_volume(CircularCopula(), rect)) <= 1e-9
     assert quad_mass_2d(CircularCopula(), Rectangle((0.2, -1.0), (0.2, 1.0))) == 0.0
+
+
+@pytest.mark.parametrize("model", PLANAR_MODELS, ids=lambda m: m.describe())
+def test_quad_mass_zero_height_is_zero(model):
+    # A rectangle of zero height over a nonempty width integrates an inner
+    # mass that is exactly 0.0, inside the support, at its edge and at
+    # t = +-1 alike, with no floating-point exception on the way.
+    rects = [Rectangle((-0.9, t), (0.8, t)) for t in (-1.0, -0.6, 0.0, 0.3, 0.95, 1.0)]
+    rects += [Rectangle((-1.0, t), (1.0, t)) for t in (-1.0, 1.0)]
+    with np.errstate(all="raise"):
+        masses = [quad_mass_2d(model, rect) for rect in rects]
+    assert masses == [0.0] * len(rects)
 
 
 def test_nonlinear_antiderivative_matches_raw_quadrature():
@@ -1019,14 +1049,14 @@ def _former_scalar_rows(cfg):
 def _former_tail(x, y, z, abs_tol):
     # The x-first tail integral over 4*pi, one integral per call.
     def integrand(s):
-        root = np.sqrt(1.0 - s * s)
+        r2 = 1.0 - s * s
         return (
             0.5 * np.pi
-            - np.arcsin(np.clip(y / root, -1.0, 1.0))
-            - np.arcsin(np.clip(z / root, -1.0, 1.0))
+            - np.arctan2(y, np.sqrt(np.maximum(r2 - y * y, 0.0)))
+            - np.arctan2(z, np.sqrt(np.maximum(r2 - z * z, 0.0)))
         )
 
-    hi = math.sqrt(1.0 - y * y - z * z) - 1e-14
+    hi = math.sqrt(1.0 - y * y - z * z)
     return integrate_adaptive(integrand, x, hi, abs_tol) / (4.0 * math.pi)
 
 
