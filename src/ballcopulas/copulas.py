@@ -51,7 +51,6 @@ from .special_math import (
     _check_cube3,
     _check_gamma,
     _check_square,
-    _clamp_unit,
     _delta3,
     _h_identity,
     _pick,
@@ -491,6 +490,8 @@ class SphericalCopula(CopulaModel):
     name: ClassVar[str] = "spherical"
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.dim):
+            raise DomainError(f"dim must be an integer, got {self.dim!r}")
         if self.dim >= 4:
             raise DimensionError(
                 f"no spherically symmetric model with uniform marginals exists in "
@@ -912,21 +913,9 @@ def _pick_exact(index, options):
     return np.where(index == 0, a, np.where(index == 1, b, c))
 
 
-def _asin_exact(t):
-    # The clamped math.asin of special_math element by element: the error
-    # that _clamp_unit raises for the first element beyond 1 + 1e-12, its
-    # clamp, and math.asin, since np.arcsin can differ from it in the last
-    # bit.
-    beyond = np.flatnonzero(np.abs(t) > 1.0 + 1e-12)
-    if beyond.size:
-        _clamp_unit(float(t[beyond[0]]), "arcsin")
-    t = _min_exact(1.0, _max_exact(-1.0, t))
-    return np.fromiter(map(math.asin, t.tolist()), float, t.size)
-
-
 _alpha_array = partial(_alpha, sqrt=np.sqrt, maximum=_max_exact, atan2=_atan2_exact)
 _alpha_gamma_array = partial(_alpha_gamma, sqrt=np.sqrt, maximum=_max_exact, atan2=_atan2_exact)
-_h_identity_array = partial(_h_identity, sqrt=np.sqrt, asin=_asin_exact)
+_h_identity_array = partial(_h_identity, sqrt=np.sqrt, atan2=_atan2_map)
 _overlap_array = partial(_overlap_atan2, sqrt=np.sqrt, atan2=_atan2_map)
 
 # The pair term of each model whose CDF kernel takes one after its

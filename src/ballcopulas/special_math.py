@@ -55,21 +55,13 @@ def _min(a, b):
     return b if b < a else a
 
 
-def _clamp_unit(t: float, context: str) -> float:
-    if abs(t) > 1.0 + 1e-12:
-        raise DomainError(f"{context}: argument {t!r} exceeds 1 in magnitude by more than 1e-12")
-    return _min(1.0, _max(-1.0, t))
-
-
-def _clamped_asin(t: float) -> float:
-    # arcsin shielded from floating-point drift just past +-1.  An argument
+def _clamped_arccos(t: float) -> float:
+    # arccos shielded from floating-point drift just past +-1.  An argument
     # beyond 1 + 1e-12 signals a genuine precondition violation upstream, not
     # round-off, and raises DomainError.
-    return math.asin(_clamp_unit(t, "arcsin"))
-
-
-def _clamped_arccos(t: float) -> float:
-    return math.acos(_clamp_unit(t, "arccos"))
+    if abs(t) > 1.0 + 1e-12:
+        raise DomainError(f"arccos: argument {t!r} exceeds 1 in magnitude by more than 1e-12")
+    return math.acos(_min(1.0, _max(-1.0, t)))
 
 
 def _check_square(x: float, y: float, context: str) -> None:
@@ -92,11 +84,11 @@ def _check_gamma(gamma: float) -> None:
 # The private kernels below, and the copulas kernels built on them, take
 # their elementwise primitives as default arguments: scalar callers get
 # math.sqrt, _max (a conditional expression that chooses as the builtin max
-# does, and costs less on Python 3.11), math.atan2, the clamped
-# math.asin, sigma and a tuple index, and the array paths of
-# copulas.evaluate and the verify suite pass elementwise equivalents that
-# round and choose the same way, so both paths run one expression and agree
-# bit for bit.  Arithmetic and the builtin abs serve both paths as they are.
+# does, and costs less on Python 3.11), math.atan2, sigma and a tuple index,
+# and the array paths of copulas.evaluate and the verify suite pass
+# elementwise equivalents that round and choose the same way, so both paths
+# run one expression and agree bit for bit.  Arithmetic and the builtin abs
+# serve both paths as they are.
 
 
 def _atan2_sum(u, v, a, b, c, w, atan2=math.atan2):
@@ -228,8 +220,16 @@ def _support_discriminant(gamma: float, u, v):
 def h_identity(x: float, y: float) -> float:
     """Three-arcsin sum that is identically ``pi/2`` on its domain.
 
-    Kept in unsimplified form on purpose: tests confirm the collapse to
-    the constant.  Domain: ``0 <= x, y <= 1``, ``0 < x^2 + y^2 < 1``.
+    With ``w = sqrt(1 - (x^2 + y^2))``,
+
+        ``atan2(x*y, w) + atan2(x*w, y) + atan2(y*w, x)``,
+
+    the sum ``asin(x*y/(cx*cy)) + asin(x*w/(cx*r)) + asin(y*w/(cy*r))``
+    with ``cx = sqrt(1-x^2)``, ``cy = sqrt(1-y^2)`` and
+    ``r = sqrt(x^2 + y^2)``, term by term and without its divisions, since
+    ``(cx*cy)^2 - (x*y)^2 = w^2``, ``(cx*r)^2 - (x*w)^2 = y^2`` and
+    ``(cy*r)^2 - (y*w)^2 = x^2``.  Tests hold it within 1e-12 of ``pi/2``.
+    Domain: ``0 <= x, y <= 1``, ``0 < x^2 + y^2 < 1``.
     """
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise DomainError(f"h_identity: ({x!r}, {y!r}) outside [0, 1]^2")
@@ -241,13 +241,9 @@ def h_identity(x: float, y: float) -> float:
     return _h_identity(x, y)
 
 
-def _h_identity(x, y, sqrt=math.sqrt, asin=_clamped_asin):
-    s = x * x + y * y
-    cx = sqrt(1.0 - x * x)
-    cy = sqrt(1.0 - y * y)
-    rt = sqrt(1.0 - s)
-    r = sqrt(s)
-    return asin(x * y / (cx * cy)) + asin(x * rt / (cx * r)) + asin(y * rt / (cy * r))
+def _h_identity(x, y, sqrt=math.sqrt, atan2=math.atan2):
+    w = sqrt(1.0 - (x * x + y * y))
+    return atan2(x * y, w) + atan2(x * w, y) + atan2(y * w, x)
 
 
 def cap_intersection_area(r1: float, r2: float, d: float) -> float:

@@ -164,6 +164,9 @@ def test_spherical_dimension_guard():
         SphericalCopula(dim=7)
     with pytest.raises(DimensionError):
         SphericalCopula(dim=2)
+    for dim in ("3", None, 3.0):
+        with pytest.raises(DomainError, match="dim must be an integer"):
+            SphericalCopula(dim=dim)
 
 
 def test_spherical_has_no_density():

@@ -29,10 +29,10 @@ from ballcopulas import (
 )
 from ballcopulas import copulas, special_math
 from ballcopulas.copulas import _clamp01, _clamp01_array, _corner_sum, _max_exact, _min_exact, _sign_exact
-from ballcopulas.copulas import _SLAB, _alpha_array, _alpha_gamma_array, _asin_exact, _atan2_exact, _atan2_map
+from ballcopulas.copulas import _SLAB, _alpha_array, _alpha_gamma_array, _atan2_exact, _atan2_map
 from ballcopulas.copulas import _PAIR_TERMS, _h_identity_array, _overlap_array, _overlap_atan2
 from ballcopulas.oracle import _first_min
-from ballcopulas.special_math import _alpha, _clamp_unit, _clamped_asin, _max, _middle, _min, sigma
+from ballcopulas.special_math import _alpha, _clamped_arccos, _max, _middle, _min, sigma
 
 HALF_PI = 0.5 * math.pi
 GAMMAS = [0.0, math.pi / 8, -math.pi / 4, 1.5707963, -1.5707963, HALF_PI - 1e-12, -(HALF_PI - 1e-12)]
@@ -323,9 +323,9 @@ def test_elementwise_primitives_match_python():
         assert same(_clamp01(t), want) and same(_clamp01_array(np.array([t]))[0], want)
         if abs(t) > 1.0 + 1e-12:
             with pytest.raises(DomainError):
-                _clamp_unit(t, "clamp")
+                _clamped_arccos(t)
         else:
-            assert same(_clamp_unit(t, "clamp"), min(1.0, max(-1.0, t)))
+            assert same(_clamped_arccos(t), math.acos(min(1.0, max(-1.0, t))))
     values = [0.0, -0.0, 0.5, -0.5, 1.0]
     for x, y, z in product(values, repeat=3):
         for t in (0.25, -0.25, 0.0, -0.0):
@@ -427,19 +427,16 @@ def test_atan2_exact_matches_math_atan2_on_and_off_the_support():
 
 
 def test_h_identity_array_matches_scalar():
-    # The kernel of h_identity on the arrays of verify's 50x50 grid, and
-    # the exact asin map on the clamp's edge cases: -0.0, +-1 and values
-    # beyond 1 by at most 1e-12, which clamp; NaN, which clamps to -1 as
-    # max(-1.0, nan) does; and beyond 1 + 1e-12, which raises.
+    # The kernel of h_identity on the arrays of verify's 50x50 grid, and on
+    # a subnormal x^2 + y^2, points near an axis and near the circle, and
+    # +-0.0 and the least subnormal as a coordinate.
     axis = np.linspace(0.01, 0.70, 50)
     x, y = (t.ravel() for t in np.meshgrid(axis, axis, indexing="ij"))
+    edges = [(1e-160, 1e-160), (0.999999, 1e-8), (0.6, 0.8 - 1e-16), (0.5, -0.0), (-0.0, 0.5), (5e-324, 0.5)]
+    x = np.concatenate([x, [a for a, _ in edges]])
+    y = np.concatenate([y, [b for _, b in edges]])
     want = np.array([h_identity(a, b) for a, b in zip(x.tolist(), y.tolist())])
     assert _h_identity_array(x, y).tobytes() == want.tobytes()
-    t = np.array([-1.0 - 1e-12, -1.0, -0.0, 0.0, 0.5, 1.0, 1.0 + 5e-13, math.nan])
-    want = np.array([_clamped_asin(v) for v in t.tolist()])
-    assert _asin_exact(t).tobytes() == want.tobytes()
-    with pytest.raises(DomainError, match="exceeds 1 in magnitude"):
-        _asin_exact(np.array([0.5, -1.0 - 3e-12, 0.0]))
 
 
 def test_spherical_outside_ball_equals_scalar():

@@ -17,7 +17,6 @@ from ballcopulas import (
     h_identity,
     sigma,
 )
-from ballcopulas.special_math import _clamped_asin
 
 # Independent quadrature value of the circular tail at (0.3, 0.4), frozen:
 # alpha(0.3, 0.4) = tail(0.3, 0.4) - (1 - 0.3 - 0.4)/4.
@@ -41,17 +40,6 @@ def test_sigma_rejects_non_finite():
         sigma(math.nan)
     with pytest.raises(DomainError):
         sigma(math.inf)
-
-
-def test_clamped_arcsin():
-    assert _clamped_asin(1.0 + 1e-13) == math.pi / 2
-    assert _clamped_asin(-1.0 - 1e-13) == -math.pi / 2
-    assert _clamped_asin(0.0) == 0.0
-    assert _clamped_asin(0.5) == math.asin(0.5)
-    with pytest.raises(DomainError):
-        _clamped_asin(1.01)
-    with pytest.raises(DomainError):
-        _clamped_asin(-1.01)
 
 
 def test_alpha_examples():
@@ -201,7 +189,12 @@ def test_alpha_gamma_domain():
 
 
 def test_h_identity_constant():
-    for x, y in ((0.3, 0.4), (0.7, 0.1), (1e-4, 1e-4)):
+    # Besides the benign points: a subnormal x^2 + y^2, points near the x
+    # axis and near the circle, and a zero or the least subnormal coordinate.
+    for x, y in (
+        (0.3, 0.4), (0.7, 0.1), (1e-4, 1e-4), (1e-160, 1e-160), (0.999999, 1e-8),
+        (0.6, 0.8 - 1e-16), (0.5, -0.0), (-0.0, 0.5), (5e-324, 0.5),
+    ):
         assert abs(h_identity(x, y) - math.pi / 2) <= 1e-12
     for x in np.linspace(0.01, 0.70, 50):
         for y in np.linspace(0.01, 0.70, 50):
@@ -215,12 +208,6 @@ def test_h_identity_domain():
         h_identity(0.8, 0.8)
     with pytest.raises(DomainError):
         h_identity(-0.1, 0.5)
-
-
-def test_arcsin_complement_identity():
-    for a in np.linspace(0.0, 1.0, 101):
-        b = math.sqrt(1.0 - a * a)
-        assert abs(_clamped_asin(float(a)) + _clamped_asin(b) - math.pi / 2) <= 1e-12
 
 
 def test_cap_area_orthogonal_hemispheres():
