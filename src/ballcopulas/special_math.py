@@ -55,15 +55,6 @@ def _min(a, b):
     return b if b < a else a
 
 
-def _clamped_arccos(t: float) -> float:
-    # arccos shielded from floating-point drift just past +-1.  An argument
-    # beyond 1 + 1e-12 signals a genuine precondition violation upstream, not
-    # round-off, and raises DomainError.
-    if abs(t) > 1.0 + 1e-12:
-        raise DomainError(f"arccos: argument {t!r} exceeds 1 in magnitude by more than 1e-12")
-    return math.acos(_min(1.0, _max(-1.0, t)))
-
-
 def _check_square(x: float, y: float, context: str) -> None:
     if not (abs(x) <= 1.0 and abs(y) <= 1.0):
         raise DomainError(f"{context}: point ({x!r}, {y!r}) outside [-1, 1]^2")
@@ -256,8 +247,15 @@ def cap_intersection_area(r1: float, r2: float, d: float) -> float:
         ``0 < r1, r2 <= pi/2``  and  ``|r1 - r2| < d <= r1 + r2``.
 
     Nested caps (``d <= |r1 - r2|``) and disjoint caps (``d > r1 + r2``)
-    are rejected.  The result lies in ``[0, 2*pi]`` and is symmetric in
-    ``(r1, r2)``.
+    are rejected.  The result lies in ``[0, 2*pi]``.  The lens is
+    ``4*sin(r1/2)^2*A1 + 4*sin(r2/2)^2*A2 - 2*E``, two sectors less twice
+    the triangle with sides ``r1``, ``r2`` and ``d`` between the centers
+    and a lens corner: its angles ``A1``, ``A2`` at the centers come from
+    the half-angle formula as atan2 of two square roots, its excess ``E``
+    from L'Huilier's theorem.  Against the exact lens of the float
+    arguments the error is at most ``1e-14*area + 2e-15*r1*r2`` for radii
+    of at least 1e-150; the radii are ordered at entry, so swapping them
+    gives the same bits.
     """
     for name, val in (("r1", r1), ("r2", r2), ("d", d)):
         if not math.isfinite(val):
@@ -271,17 +269,17 @@ def cap_intersection_area(r1: float, r2: float, d: float) -> float:
             "caps must overlap in a single lens: require |r1 - r2| < d <= r1 + r2, "
             f"got r1={r1!r}, r2={r2!r}, d={d!r}"
         )
-    c1, s1 = math.cos(r1), math.sin(r1)
-    c2, s2 = math.cos(r2), math.sin(r2)
-    cd, sd = math.cos(d), math.sin(d)
-    s12, sd1, sd2 = s1 * s2, sd * s1, sd * s2
-    # A lens needs min(r) within 2^53 of max(r), so a product underflows to
-    # 0.0 only when every angle is below about 1.5e-154; the lens, at most
-    # pi * max(r)^2, is then 0.0 too.
-    if 0.0 in (s12, sd1, sd2):
-        return 0.0
-    a0 = _clamped_arccos((cd - c1 * c2) / s12)
-    a1 = _clamped_arccos((cd * c1 - c2) / sd1)
-    a2 = _clamped_arccos((cd * c2 - c1) / sd2)
-    area = _TWO_PI * (1.0 - (c1 + c2)) - 2.0 * a0 + 2.0 * (c1 * a1 + c2 * a2)
+    if r1 > r2:
+        r1, r2 = r2, r1
+    # Differences taken from the sides stay accurate; s - d can round below 0 at the tangent.
+    s, s1, s2 = (r1 + r2 + d) / 2.0, ((r2 - r1) + d) / 2.0, (d - (r2 - r1)) / 2.0
+    sd = _max(((r1 - d) + r2) / 2.0, 0.0)
+    sin_s, sin_1, sin_2, sin_d = math.sin(s), math.sin(s1), math.sin(s2), math.sin(sd)
+    a1 = 2.0 * math.atan2(math.sqrt(sin_1 * sin_d), math.sqrt(sin_s * sin_2))
+    a2 = 2.0 * math.atan2(math.sqrt(sin_2 * sin_d), math.sqrt(sin_s * sin_1))
+    # tan(E/4) from its four tangents in pairs, which underflow only after the lens does.
+    tan_e4 = math.sqrt(math.tan(s / 2.0) * math.tan(s1 / 2.0))
+    tan_e4 *= math.sqrt(math.tan(s2 / 2.0) * math.tan(sd / 2.0))
+    h1, h2 = math.sin(r1 / 2.0), math.sin(r2 / 2.0)
+    area = 4.0 * (h1 * h1) * a1 + 4.0 * (h2 * h2) * a2 - 8.0 * math.atan(tan_e4)
     return _min(_max(area, 0.0), _TWO_PI)

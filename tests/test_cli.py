@@ -482,6 +482,12 @@ def test_caparea(capsys):
     code, out, _ = run(["caparea", "0.5", "0.5", "1.0"], capsys)
     assert code == 0
     assert float(out.strip()) == 0.0
+    # Tiny caps inside the documented domain: the lens is 4.774400478545023e-18,
+    # within the bound 1e-14*area + 2e-15*r1*r2 of cap_intersection_area.
+    code, out, _ = run(["caparea", "8.679e-09", "4.813e-09", "1.220e-08"], capsys)
+    assert code == 0
+    want = 4.774400478545023e-18
+    assert abs(float(out.strip()) - want) <= 1e-14 * want + 2e-15 * 8.679e-09 * 4.813e-09
 
 
 def test_caparea_tiny_caps(capsys):

@@ -219,7 +219,7 @@ def test_cap_area_tangent_caps():
     rng = np.random.default_rng(23)
     for _ in range(50):
         r1, r2 = rng.uniform(0.1, math.pi / 2, 2)
-        assert abs(cap_intersection_area(r1, r2, r1 + r2)) <= 1e-6
+        assert abs(cap_intersection_area(r1, r2, r1 + r2)) <= 1e-18
 
 
 @pytest.mark.parametrize(
@@ -238,8 +238,9 @@ def test_cap_area_matches_circular_tail():
 
 
 def _cap_area_exact(r1, r2, d):
-    # cap_intersection_area's own formula at 60 digits, from the exact values
-    # of the float inputs.
+    # The lens in its arccos form at 60 digits, from the exact values of the
+    # float inputs: independent of the triangle form that
+    # cap_intersection_area takes.
     with mpmath.workdps(60):
         r1, r2, d = map(mpmath.mpf, (r1, r2, d))
         c1, s1 = mpmath.cos(r1), mpmath.sin(r1)
@@ -251,29 +252,50 @@ def _cap_area_exact(r1, r2, d):
         return float(2 * mpmath.pi * (1 - (c1 + c2)) - 2 * a0 + 2 * (c1 * a1 + c2 * a2))
 
 
-# The lens of small caps cancels in cd - c1*c2, cd*c1 - c2 and 1 - (c1 + c2):
-# at r1 = r2 = d = 1e-6 the area is 1.2e-12 and the function returns 3.1e-4.
-_SMALL_CAPS = pytest.mark.xfail(
-    strict=True, reason="cap_intersection_area cancels for small caps (ROADMAP item 10)"
-)
-
-
-@pytest.mark.parametrize(
-    "t", [0.1, *(pytest.param(t, marks=_SMALL_CAPS) for t in (1e-4, 1e-5, 1e-6))]
-)
+@pytest.mark.parametrize("t", [0.1, 1e-4, 1e-5, 1e-6, 1e-8, 1e-12])
 def test_cap_area_relative_accuracy(t):
     want = _cap_area_exact(t, t, t)
     assert abs(cap_intersection_area(t, t, t) - want) <= 1e-9 * want
 
 
+def _random_lenses(rng, n):
+    # n single lenses, every other one with radii log-uniform in [1e-9, 1]
+    # and the rest uniform in (0, pi/2]; d sits at a uniform fraction of
+    # the way from |r1 - r2| to r1 + r2.
+    lenses = []
+    for k in range(n):
+        if k % 2:
+            r1, r2 = 10.0 ** rng.uniform(-9.0, 0.0, 2)
+        else:
+            r1, r2 = math.pi / 2 - rng.uniform(0.0, math.pi / 2, 2)
+        lo, hi = abs(r1 - r2), r1 + r2
+        d = lo + rng.uniform() * (hi - lo)
+        if lo < d <= hi:
+            lenses.append((float(r1), float(r2), float(d)))
+    return lenses
+
+
 def test_cap_area_symmetry():
+    # Bit for bit: the radii are ordered at entry.
     rng = np.random.default_rng(29)
+    lenses = []
     for _ in range(100):
         r1, r2 = rng.uniform(0.1, math.pi / 2, 2)
-        d = abs(r1 - r2) + rng.uniform(0.05, 0.95) * (r1 + r2 - abs(r1 - r2))
-        assert abs(
-            cap_intersection_area(r1, r2, d) - cap_intersection_area(r2, r1, d)
-        ) <= 1e-12
+        lenses.append((r1, r2, abs(r1 - r2) + rng.uniform(0.05, 0.95) * (r1 + r2 - abs(r1 - r2))))
+    lenses += _random_lenses(rng, 200)
+    for r1, r2, d in lenses:
+        assert cap_intersection_area(r1, r2, d).hex() == cap_intersection_area(r2, r1, d).hex()
+
+
+def test_cap_area_error_bound():
+    # The docstring's bound, |error| <= 1e-14*area + 2e-15*r1*r2, against
+    # the arccos form at 60 digits, on lenses from 1e-9 to pi/2 and on tiny
+    # caps whose arccos quotients, in floats, round far past -1.
+    lenses = _random_lenses(np.random.default_rng(31), 200)
+    lenses.append((8.679e-09, 4.813e-09, 1.220e-08))
+    for r1, r2, d in lenses:
+        want = _cap_area_exact(r1, r2, d)
+        assert abs(cap_intersection_area(r1, r2, d) - want) <= 1e-14 * want + 2e-15 * r1 * r2
 
 
 def test_cap_area_rejects_bad_configurations():
